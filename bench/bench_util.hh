@@ -53,7 +53,6 @@ struct Options
     bool resume = false;         ///< --resume: reuse finished cells
 
     std::string traceCacheDir;   ///< --trace-cache artifact directory
-    bool noTrace = false;        ///< --no-trace: lazy reference path
 
     // Sampled execution (sim/runner.hh RunOptions sampling fields).
     InstCount samplePeriodInsts = 0; ///< --sample-period; 0 = full run
@@ -128,10 +127,6 @@ printUsage(const char *argv0, std::FILE *to,
         "content-keyed files in D\n"
         "                  (also $ELFSIM_TRACE_CACHE); campaigns "
         "share one compile\n"
-        "  --no-trace      disable trace compilation (lazy "
-        "per-instruction generation;\n"
-        "                  also $ELFSIM_TRACE=0) — behaviour-"
-        "identical, just slower\n"
         "  --sample-period N  sampled execution: partition the total "
         "budget into\n"
         "                  periods of N insts, fast-forwarding "
@@ -280,8 +275,6 @@ parseOptions(int argc, char **argv, Options defaults = {},
             o.resume = true;
         } else if (!std::strcmp(argv[i], "--trace-cache"))
             o.traceCacheDir = value(i);
-        else if (!std::strcmp(argv[i], "--no-trace"))
-            o.noTrace = true;
         else if (!std::strcmp(argv[i], "--sample-period"))
             o.samplePeriodInsts =
                 parseCount(argv[0], "--sample-period", value(i));
@@ -349,8 +342,6 @@ parseOptions(int argc, char **argv, Options defaults = {},
     }
     // Configure the process-wide trace cache here so every bench gets
     // the behaviour without per-harness plumbing.
-    if (o.noTrace)
-        TraceCache::instance().setEnabled(false);
     if (!o.traceCacheDir.empty())
         TraceCache::instance().setDirectory(o.traceCacheDir);
     if (o.noCkpt)

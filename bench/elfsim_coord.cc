@@ -90,7 +90,7 @@ printCoordUsage(const char *argv0, std::FILE *to)
         "document\n"
         "  --stats-json PATH  write the scheduling counters "
         "(elfsim-coordstats-v1)\n"
-        "  --trace-cache D / --no-trace / --ckpt-cache D / --no-ckpt\n"
+        "  --trace-cache D / --ckpt-cache D / --no-ckpt\n"
         "                  artifact-cache knobs (as in the benches); "
         "--spawn passes\n"
         "                  --ckpt-cache through to its workers\n"
@@ -205,7 +205,7 @@ main(int argc, char **argv)
     std::string specPath, workerList, workerBin, ledgerPath, jsonPath;
     std::string statsJsonPath;
     std::string traceCacheDir, ckptCacheDir;
-    bool noTrace = false, noCkpt = false;
+    bool noCkpt = false;
     bool local = false, resume = false, noFallback = false;
     std::size_t spawnCount = 0, chunkCells = 0;
     unsigned workerJobs = 1, jobs = 0, leaseSeconds = 30;
@@ -281,8 +281,6 @@ main(int argc, char **argv)
             statsJsonPath = value(i);
         else if (!std::strcmp(argv[i], "--trace-cache"))
             traceCacheDir = value(i);
-        else if (!std::strcmp(argv[i], "--no-trace"))
-            noTrace = true;
         else if (!std::strcmp(argv[i], "--ckpt-cache"))
             ckptCacheDir = value(i);
         else if (!std::strcmp(argv[i], "--no-ckpt"))
@@ -324,8 +322,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (noTrace)
-        TraceCache::instance().setEnabled(false);
     if (!traceCacheDir.empty())
         TraceCache::instance().setDirectory(traceCacheDir);
     if (noCkpt)
@@ -385,8 +381,6 @@ main(int argc, char **argv)
             extra.push_back("--ckpt-cache");
             extra.push_back(ckptCacheDir);
         }
-        if (noTrace)
-            extra.push_back("--no-trace");
         if (heartbeatMs != 1000) {
             extra.push_back("--heartbeat-ms");
             extra.push_back(std::to_string(heartbeatMs));

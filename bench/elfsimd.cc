@@ -48,8 +48,6 @@ printDaemonUsage(const char *argv0, std::FILE *to)
         "                  must stay under the coordinator's --lease\n"
         "  --trace-cache D persist compiled workload traces as "
         "content-keyed files in D\n"
-        "  --no-trace      disable trace compilation (lazy "
-        "per-instruction generation)\n"
         "  --ckpt-cache D  persist warm-state checkpoints as content-"
         "keyed files in D\n"
         "  --no-ckpt       disable checkpoint artifacts\n"
@@ -66,7 +64,7 @@ main(int argc, char **argv)
 {
     service::ServiceConfig cfg;
     std::string traceCacheDir, ckptCacheDir;
-    bool noTrace = false, noCkpt = false;
+    bool noCkpt = false;
 
     const auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -95,8 +93,6 @@ main(int argc, char **argv)
                 argv[0], "--heartbeat-ms", value(i), 3600000));
         else if (!std::strcmp(argv[i], "--trace-cache"))
             traceCacheDir = value(i);
-        else if (!std::strcmp(argv[i], "--no-trace"))
-            noTrace = true;
         else if (!std::strcmp(argv[i], "--ckpt-cache"))
             ckptCacheDir = value(i);
         else if (!std::strcmp(argv[i], "--no-ckpt"))
@@ -113,8 +109,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (noTrace)
-        TraceCache::instance().setEnabled(false);
     if (!traceCacheDir.empty())
         TraceCache::instance().setDirectory(traceCacheDir);
     if (noCkpt)

@@ -129,8 +129,6 @@ FaultInjector::parse(const std::string &spec)
             s.kind = FaultKind::TraceCache;
         else if (site == "ckptcache")
             s.kind = FaultKind::CkptCache;
-        else if (site == "warmtab")
-            s.kind = FaultKind::WarmTables;
         else if (site == "netrefuse")
             s.kind = FaultKind::NetRefuse;
         else if (site == "netdrop")
@@ -146,7 +144,7 @@ FaultInjector::parse(const std::string &spec)
         else
             throw ConfigError(errorf(
                 "unknown fault site '%s' (throw, panic, transient, "
-                "hang, slow, tracecache, ckptcache, warmtab, "
+                "hang, slow, tracecache, ckptcache, "
                 "netrefuse, netdrop, nettrunc, netcorrupt, nethb, "
                 "netslow)",
                 site.c_str()));
@@ -211,8 +209,7 @@ FaultInjector::poll(const ExecContext &ctx, std::uint64_t tick)
         std::lock_guard<std::mutex> lk(netMtx);
         for (const FaultSpec &s : armedFaults) {
             if (s.kind == FaultKind::TraceCache ||
-                s.kind == FaultKind::CkptCache ||
-                s.kind == FaultKind::WarmTables || isNetFault(s.kind))
+                s.kind == FaultKind::CkptCache || isNetFault(s.kind))
                 continue; // fires from its own hook, not here
             if (!s.anyJob && s.job != ctx.jobIndex)
                 continue;
@@ -264,7 +261,6 @@ FaultInjector::fire(const FaultSpec &s, const ExecContext &ctx)
         return;
       case FaultKind::TraceCache:
       case FaultKind::CkptCache:
-      case FaultKind::WarmTables:
       case FaultKind::NetRefuse:
       case FaultKind::NetDrop:
       case FaultKind::NetTrunc:
@@ -276,11 +272,11 @@ FaultInjector::fire(const FaultSpec &s, const ExecContext &ctx)
 }
 
 bool
-FaultInjector::shouldCorruptTraceRead() const
+FaultInjector::armedForThisJob(FaultKind kind) const
 {
     std::lock_guard<std::mutex> lk(netMtx);
     for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::TraceCache)
+        if (s.kind != kind)
             continue;
         if (s.anyJob)
             return true;
@@ -292,6 +288,18 @@ FaultInjector::shouldCorruptTraceRead() const
             return true;
     }
     return false;
+}
+
+bool
+FaultInjector::shouldCorruptTraceRead() const
+{
+    return armedForThisJob(FaultKind::TraceCache);
+}
+
+bool
+FaultInjector::shouldCorruptCkptRead() const
+{
+    return armedForThisJob(FaultKind::CkptCache);
 }
 
 bool
@@ -410,38 +418,6 @@ FaultInjector::netSendDelayMs(std::size_t worker)
             delay = 20;
     }
     return delay;
-}
-
-bool
-FaultInjector::shouldCorruptCkptRead() const
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::CkptCache)
-            continue;
-        if (s.anyJob)
-            return true;
-        const ExecContext *ctx = currentExecContext();
-        if (!ctx || ctx->jobIndex == s.job)
-            return true;
-    }
-    return false;
-}
-
-bool
-FaultInjector::shouldPoisonWarmTables() const
-{
-    std::lock_guard<std::mutex> lk(netMtx);
-    for (const FaultSpec &s : armedFaults) {
-        if (s.kind != FaultKind::WarmTables)
-            continue;
-        if (s.anyJob)
-            return true;
-        const ExecContext *ctx = currentExecContext();
-        if (!ctx || ctx->jobIndex == s.job)
-            return true;
-    }
-    return false;
 }
 
 } // namespace elfsim

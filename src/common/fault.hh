@@ -41,12 +41,6 @@
  *              failed its checksum, forcing the transparent
  *              fast-forward fallback (cell -> ok, just slower). The
  *              <tick> field is ignored, like tracecache.
- *   warmtab    distrust the compiled-trace warming side tables: the
- *              batch warming kernel is bypassed and fast-forward
- *              degrades to the scalar per-instruction loop
- *              (cell -> ok with identical warm state, just slower;
- *              proves the scalar fallback stays live). The <tick>
- *              field is ignored, like tracecache.
  *
  * Network sites reuse the same grammar with the middle field naming a
  * WORKER INDEX (position in the coordinator's --workers list, '*' for
@@ -188,7 +182,6 @@ enum class FaultKind
     Slow,
     TraceCache,
     CkptCache,
-    WarmTables,
     NetRefuse,
     NetDrop,
     NetTrunc,
@@ -263,11 +256,6 @@ class FaultInjector
      *  faults; identical matching rules). */
     bool shouldCorruptCkptRead() const;
 
-    /** Same hook for Core::fastForward's kernel dispatch ('warmtab'
-     *  faults; identical matching rules): true means bypass the batch
-     *  warming kernel and warm with the scalar loop instead. */
-    bool shouldPoisonWarmTables() const;
-
     // ---- network hooks (coordinator-side; see the file comment) ----
     //
     // Each armed net spec carries a private event counter, reset by
@@ -314,6 +302,10 @@ class FaultInjector
      * armed list is read-only after arm().
      */
     void fire(const FaultSpec &s, const ExecContext &ctx);
+
+    /** Is a @a kind fault armed for the job on this thread (or for
+     *  every job, or is no job context installed)? */
+    bool armedForThisJob(FaultKind kind) const;
 
     /** Per-armed-spec firing state for the net sites. */
     struct NetState

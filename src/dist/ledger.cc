@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -54,9 +53,7 @@ LedgerState
 readLedger(std::istream &is)
 {
     LedgerState state;
-    // Last manifest line per index wins, but completion order of the
-    // first sighting is preserved (same policy as readManifest).
-    std::map<std::size_t, std::size_t> completedAt;
+    ManifestReplay completed; // same policy as readManifest
 
     std::string line;
     std::size_t lineNo = 0;
@@ -91,7 +88,7 @@ readLedger(std::istream &is)
                     // An already-completed cell never goes back in
                     // flight: a re-lease after completion would be a
                     // writer bug, replay keeps the completion.
-                    if (!completedAt.count(e.index))
+                    if (!completed.at.count(e.index))
                         state.outstanding.push_back(std::move(e));
                 } else if (event == "expire") {
                     e.kind = LeaseEvent::Kind::Expire;
@@ -107,26 +104,16 @@ readLedger(std::istream &is)
             }
 
             // Anything else must be a manifest completion line.
-            if (doc.at("manifest").asString() != "elfsim-manifest-v1")
-                throw ParseError("unknown manifest schema");
-            ManifestEntry e;
-            e.index = std::size_t(doc.at("index").asU64());
-            e.key = doc.at("key").asString();
-            e.result = runResultFromJson(doc.at("result"));
+            ManifestEntry e = manifestEntryFromJson(doc);
             dropOutstanding(state.outstanding, e.index);
-            if (auto it = completedAt.find(e.index);
-                it != completedAt.end()) {
-                state.completed[it->second] = std::move(e);
-            } else {
-                completedAt.emplace(e.index, state.completed.size());
-                state.completed.push_back(std::move(e));
-            }
+            completed.add(std::move(e));
         } catch (const SimError &err) {
             ++state.skipped;
             ELFSIM_WARN("ledger line %zu skipped: %s", lineNo,
                         err.what());
         }
     }
+    state.completed = std::move(completed.entries);
     return state;
 }
 

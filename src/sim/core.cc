@@ -378,89 +378,43 @@ Core::fastForward(InstCount n)
                   "fast-forward with in-flight instructions "
                   "(squashToCommitted first)");
 
-    const Addr lineMask = ~(Addr(cfg.mem.l0i.lineBytes) - 1);
+    // One warmer: the batch kernel (sim/warm_kernel.cc) replays
+    // compiled side tables — the memoized prefix's while the stream is
+    // inside it, past it (or with no prefix at all) a transient chunk
+    // the stream compiles on demand. The last chunk ends exactly at
+    // the fast-forward end, so the live generator left behind is the
+    // checkpoint resume state.
+    const InstCount start = lastCommitOracleIdx;
+    const InstCount end = start + n;
     Addr lastLine = invalidAddr;
     Addr resumePC = invalidAddr;
-
-    // Batch warming kernel (sim/warm_kernel.cc): when the window
-    // starts inside the compiled prefix, warm as much of it as the
-    // prefix covers by iterating the trace's side tables — state-
-    // identical to the scalar loop below, at memory-scan speed. The
-    // 'warmtab' fault site forces the scalar path, standing in for a
-    // side-table defect (recovery = warm the slow, reference way).
-    InstCount done = 0;
-    if (const CompiledTrace *tr = oracle->backingTrace()) {
-        const InstCount p0 = lastCommitOracleIdx;
-        const InstCount kn =
-            p0 < tr->size() ? std::min(n, tr->size() - p0) : 0;
-        if (kn > 0 &&
-            !FaultInjector::instance().shouldPoisonWarmTables()) {
-            warmKernel(*tr, p0, kn, lastLine);
-            done = kn;
-            resumePC = tr->nextPC(p0 + kn - 1);
+    while (lastCommitOracleIdx < end) {
+        const InstCount p = lastCommitOracleIdx;
+        const CompiledTrace *tr = oracle->backingTrace();
+        std::shared_ptr<const CompiledTrace> chunk;
+        InstCount base = 0;
+        InstCount kn = 0;
+        if (tr && p < tr->size()) {
+            // Instructions a preceding detailed run generated ahead
+            // are the prefix's own: drop them, serve the arrays.
+            kn = std::min(end, tr->size()) - p;
+            if (!oracle->windowEmpty())
+                oracle->retireUpTo(oracle->newest());
+            oracle->seekTo(p + kn + 1);
+        } else {
+            chunk = oracle->compileNext(std::min(end - p, ffChunkInsts));
+            tr = chunk.get();
+            base = p;
+            kn = tr->size();
         }
-    }
-    warmStats_.scalarInsts += n - done;
-
-    // Scalar warming for whatever the kernel did not cover (lazy
-    // streams, the tail past the compiled prefix, poisoned tables).
-    // Long fast-forwards must stay observable: publish the stream
-    // position as the heartbeat and give watchdogs / fault injection
-    // their deterministic hook, like Core::run does. The poll ladder
-    // is call-relative and shared with the kernel: position i polls
-    // iff i is a multiple of ffPollInsts, wherever the prefix ends.
-    ExecContext *exec = currentExecContext();
-
-    for (InstCount i = done; i < n; ++i) {
-        if (exec && (i & (ffPollInsts - 1)) == 0)
-            exec->poll(coreStats.cycles, lastCommitOracleIdx);
-        const SeqNum idx = lastCommitOracleIdx + 1;
-        const OracleInst &oi = oracle->at(idx);
-        const StaticInst &si = *oi.si;
-
-        // One synthetic cycle per instruction: the caches' absolute
-        // readyCycle/LRU bookkeeping needs a monotonic clock shared
-        // with the detailed windows.
-        ++coreStats.cycles;
-        const Cycle now = coreStats.cycles;
-
-        // Warm the instruction side once per cache line (sequential
-        // fetch within a line is free in the detailed model too).
-        const Addr line = si.pc & lineMask;
-        if (line != lastLine) {
-            mem->instFetch(si.pc, now);
-            lastLine = line;
-        }
-        if (si.isMemInst())
-            mem->dataAccess(si.pc, oi.memAddr, si.isStore(), now);
-
-        if (si.branch != BranchKind::None) {
-            // Train exactly like commit of an unpredicted branch:
-            // invalid TAGE/ITTAGE predictions make commitBranch
-            // re-predict on the architectural history before training.
-            bank->commitBranch(si.pc, si.branch, oi.taken, oi.nextPC,
-                               TagePrediction{}, IttagePrediction{},
-                               historyVisible(si));
-            controller->coupledPredictors().trainCommit(
-                si.pc, si.branch, oi.taken, oi.nextPC,
-                FetchMode::Coupled);
-            if (oi.taken) {
-                // Model the DCF probing the BTB at the target: warms
-                // hit/promotion state for the upcoming regions.
-                btbHier->lookup(oi.nextPC);
-                lastLine = invalidAddr;
-            }
-        }
-        builder->retire(si, oi.taken, oi.nextPC);
-        oracle->retireUpTo(idx);
-        lastCommitOracleIdx = idx;
-        resumePC = oi.nextPC;
+        warmKernel(*tr, base, kn, start, lastLine);
+        resumePC = tr->nextPC(p - base + kn - 1);
     }
 
     // Capture the generator resume state for checkpointing *now*:
     // this is the only moment the live generator state corresponds
-    // exactly to consumedInsts() — the restart below (and any pcAt)
-    // generates ahead and advances it.
+    // exactly to consumedInsts() — any later pcAt generates ahead and
+    // advances it. Inside the prefix the arrays serve instead.
     ffGenStateValid =
         oracle->windowEmpty() && oracle->genStateKnown();
     if (ffGenStateValid)
@@ -584,10 +538,7 @@ Core::loadWarmState(Deserializer &d, InstCount position,
     // ahead); drop them — they replay from the new position.
     if (!oracle->windowEmpty())
         oracle->retireUpTo(oracle->newest());
-    if (gen_state)
-        oracle->seekTo(position + 1, *gen_state);
-    else
-        oracle->seekTo(position + 1);
+    oracle->seekTo(position + 1, gen_state);
     instSupply->redirect(position + 1);
     heldRedirect = Redirect{};
     measureRedirectCycle = 0;

@@ -83,15 +83,19 @@ class Core
     /**
      * Watchdog/fault-injection poll cadences, one named constant per
      * execution mode so `--stall` detection latency is predictable:
-     * the detailed loop polls every runPollCycles cycles; both
-     * fast-forward paths (scalar and batch kernel) poll every
-     * ffPollInsts instructions on the same call-relative ladder.
-     * Both values are load-bearing for fault-injection determinism
-     * (armed ticks land on poll points) — change them only with the
-     * fault tests in mind.
+     * the detailed loop polls every runPollCycles cycles; fast-forward
+     * polls every ffPollInsts instructions on a ladder relative to
+     * the fastForward() call, whatever prefix and chunk boundaries
+     * fall inside it. Both values are load-bearing for
+     * fault-injection determinism (armed ticks land on poll points)
+     * — change them only with the fault tests in mind.
      */
     static constexpr Cycle runPollCycles = 1024;
     static constexpr InstCount ffPollInsts = 16384;
+
+    /** Longest transient chunk fastForward() compiles past the
+     *  memoized prefix (a few MB of arrays and side tables). */
+    static constexpr InstCount ffChunkInsts = 4 * ffPollInsts;
 
     Cycle cycles() const { return coreStats.cycles; }
     InstCount committed() const { return backendUnit->stats().committed; }
@@ -136,7 +140,8 @@ class Core
      * updating only the predictors (TAGE/ITTAGE/BTB/RAS, coupled
      * predictors) and the cache hierarchy — no fetch/rename/ROB/IQ
      * timing. Requires a quiesced pipeline (squashToCommitted).
-     * committed() does not advance; consumedInsts() does.
+     * committed() does not advance; consumedInsts() does. Every
+     * instruction goes through the batch kernel (warmKernel).
      */
     void fastForward(InstCount n);
 
@@ -153,8 +158,8 @@ class Core
      * Oracle-generator resume state captured at the end of the last
      * fastForward(), at the exact moment the stream position equaled
      * consumedInsts() (any later access generates ahead and advances
-     * the live generator). Valid only when the generator was active
-     * there — i.e. past the compiled prefix, or fully lazy.
+     * the live generator). Valid whenever that fast-forward ended past
+     * the compiled prefix (or with no prefix at all).
      */
     bool ffResumeStateValid() const { return ffGenStateValid; }
     const OracleGen &ffResumeState() const { return ffGenState; }
@@ -183,27 +188,28 @@ class Core
                        const OracleGen *gen_state);
 
   private:
+    /** The per-instruction reference warmer the kernel is tested
+     *  against (tests/sim/test_warm_kernel.cc). */
+    friend struct ScalarWarmReference;
+
     bool cplEngineActiveForDump() const;
-
-  public:
-
-  private:
     void applyRedirect(Redirect r);
     void applyPatches(Redirect &redirect, Cycle now);
     bool historyVisible(const StaticInst &si) const;
 
     /**
      * Batch functional warming over the compiled-trace side tables
-     * (sim/warm_kernel.cc): warm @a kn instructions starting at
-     * 0-based stream position @a p0 (== lastCommitOracleIdx), with
-     * @a last_line the live I-line dedup register shared with the
-     * scalar loop (in/out, for windows straddling the prefix end).
-     * State after the call is byte-identical to @a kn scalar
-     * fast-forward iterations. @a p0 + @a kn must lie within the
-     * compiled prefix.
+     * (sim/warm_kernel.cc): warm the @a kn instructions from 0-based
+     * stream position lastCommitOracleIdx on, where trace position 0
+     * of @a tr is stream position @a base (0 for the memoized prefix,
+     * the chunk start for a transient chunk). @a ff_start is the
+     * enclosing fastForward()'s start (the poll-ladder origin) and
+     * @a last_line its I-line dedup register (in/out across calls).
+     * State after the call is byte-identical to @a kn per-instruction
+     * warming steps. The window must lie within @a tr.
      */
-    void warmKernel(const CompiledTrace &tr, InstCount p0,
-                    InstCount kn, Addr &last_line);
+    void warmKernel(const CompiledTrace &tr, InstCount base,
+                    InstCount kn, InstCount ff_start, Addr &last_line);
     DynInst *findInFlight(SeqNum seq);
     /** findInFlight, falling back to the fetch-to-decode buffer
      *  (binary search — both structures are seq-ordered). */

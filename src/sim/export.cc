@@ -319,44 +319,48 @@ writeManifestLine(std::ostream &os, const ManifestEntry &e)
     os << '\n';
 }
 
+ManifestEntry
+manifestEntryFromJson(const json::Value &doc)
+{
+    if (doc.at("manifest").asString() != "elfsim-manifest-v1")
+        throw ParseError("unknown manifest schema");
+    ManifestEntry e;
+    e.index = std::size_t(doc.at("index").asU64());
+    e.key = doc.at("key").asString();
+    e.result = runResultFromJson(doc.at("result"));
+    return e;
+}
+
+void
+ManifestReplay::add(ManifestEntry e)
+{
+    const auto [it, fresh] = at.emplace(e.index, entries.size());
+    if (fresh)
+        entries.push_back(std::move(e));
+    else
+        entries[it->second] = std::move(e);
+}
+
 std::vector<ManifestEntry>
 readManifest(std::istream &is)
 {
-    std::vector<ManifestEntry> entries;
+    ManifestReplay replay;
     std::string line;
     std::size_t lineno = 0;
     while (std::getline(is, line)) {
         ++lineno;
         if (line.empty())
             continue;
-        ManifestEntry e;
         try {
-            const json::Value doc = json::parse(line);
-            if (doc.at("manifest").asString() != "elfsim-manifest-v1")
-                throw ParseError("unknown manifest schema");
-            e.index = std::size_t(doc.at("index").asU64());
-            e.key = doc.at("key").asString();
-            e.result = runResultFromJson(doc.at("result"));
+            replay.add(manifestEntryFromJson(json::parse(line)));
         } catch (const SimError &err) {
             // A crash mid-append leaves a truncated last line; the
             // cell it journaled simply re-runs.
             ELFSIM_WARN("manifest line %zu skipped: %s", lineno,
                         err.what());
-            continue;
         }
-        // Last occurrence of an index wins (resumed sweeps append).
-        bool replaced = false;
-        for (ManifestEntry &prev : entries) {
-            if (prev.index == e.index) {
-                prev = std::move(e);
-                replaced = true;
-                break;
-            }
-        }
-        if (!replaced)
-            entries.push_back(std::move(e));
     }
-    return entries;
+    return std::move(replay.entries);
 }
 
 void

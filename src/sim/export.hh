@@ -49,6 +49,7 @@
 #include <iosfwd>
 #include <optional>
 #include <ostream>
+#include <unordered_map>
 #include <vector>
 
 #include "common/export.hh"
@@ -169,11 +170,28 @@ struct ManifestEntry
  *  caller flushes (crash safety is per-line). */
 void writeManifestLine(std::ostream &os, const ManifestEntry &e);
 
+/** Decode one parsed manifest line. Throws ParseError (a SimError)
+ *  on an alien schema or a missing or ill-typed field. */
+ManifestEntry manifestEntryFromJson(const json::Value &doc);
+
 /**
- * Read every well-formed manifest line from @a is. Malformed or
- * truncated lines (a crash mid-append) are skipped with a warning —
- * their cells simply re-run. When one index appears on several lines
- * (a resumed sweep appends), the last occurrence wins.
+ * Replay policy of a manifest stream, shared with the ledger reader
+ * (dist/ledger.hh): when one index appears on several lines (a
+ * resumed sweep appends), the last line wins, kept at the position of
+ * the index's first line.
+ */
+struct ManifestReplay
+{
+    std::vector<ManifestEntry> entries;
+    std::unordered_map<std::size_t, std::size_t> at; ///< index -> slot
+
+    void add(ManifestEntry e);
+};
+
+/**
+ * Read every well-formed manifest line from @a is under the
+ * ManifestReplay policy. Malformed or truncated lines (a crash
+ * mid-append) are skipped with a warning — their cells simply re-run.
  */
 std::vector<ManifestEntry> readManifest(std::istream &is);
 

@@ -221,11 +221,10 @@ runSampled(const Program &prog, const SimConfig &cfg,
     const std::uint64_t cfgFp = configFingerprint(cfg);
     CheckpointStore &store = CheckpointStore::instance();
 
-    // Back the stream with a compiled trace so fast-forward runs the
-    // batch warming kernel over the compiled prefix instead of the
-    // scalar per-instruction loop (state-identical either way). The
-    // acquisition is capped — streams longer than the cap warm their
-    // tail scalar — and a no-op when trace compilation is disabled.
+    // Back the stream with a memoized compiled prefix, shared by every
+    // cell of the workload. The acquisition is capped — past the cap,
+    // fast-forward compiles transient chunks of the stream itself —
+    // and null when trace compilation is disabled.
     std::shared_ptr<const CompiledTrace> trace = opts.trace;
     if (!trace)
         trace = TraceCache::instance().acquire(

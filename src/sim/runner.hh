@@ -105,14 +105,14 @@ struct SamplingInfo
     std::uint64_t ckptMisses = 0;
     std::uint64_t ckptSaves = 0;
 
-    // Functional-warming work split for this run (see
-    // sim/warm_kernel.hh). Deterministic for a given (workload,
-    // schedule): kernel vs scalar split depends only on the compiled-
-    // prefix length, never on thread count or wall-clock, so these
-    // are safe in byte-compared result JSON. warmFfInsts counts the
-    // total instructions fast-forwarded (kernel + scalar by
-    // construction; exported independently so check_results.py can
-    // verify the coherence rather than assume it).
+    // Functional-warming work for this run (see sim/warm_kernel.hh).
+    // Deterministic for a given (workload, schedule), never dependent
+    // on thread count or wall-clock, so these are safe in
+    // byte-compared result JSON. warmScalarInsts is always 0 (the
+    // kernel is the only warmer). warmFfInsts counts the total
+    // instructions fast-forwarded (kernel + scalar by construction;
+    // exported independently so check_results.py can verify the
+    // coherence rather than assume it).
     std::uint64_t warmKernelInsts = 0;
     std::uint64_t warmScalarInsts = 0;
     std::uint64_t warmBranchEvents = 0;
@@ -310,23 +310,23 @@ struct RunOptions
      * (callers holding one — the sweep engine — pass it so every cell
      * of a workload shares the same buffer). When null, runSimulation
      * asks the process-wide TraceCache, which compiles the stream
-     * once per distinct program and is a no-op when trace compilation
-     * is disabled. Behaviour-neutral in all cases. Sampled runs ask
-     * for at most the first maxSampledTraceInsts instructions (a full
-     * 100M-instruction stream would cost gigabytes); the batch
-     * warming kernel covers the compiled prefix and the scalar loop
-     * the lazy tail.
+     * once per distinct program and returns null when trace
+     * compilation is disabled. Behaviour-neutral in all cases. Sampled
+     * runs ask for at most the first maxSampledTraceInsts
+     * instructions; the trace may be shorter than the stream — past
+     * its end, fast-forward compiles transient chunks for the same
+     * warming kernel (Core::fastForward).
      */
     std::shared_ptr<const CompiledTrace> trace;
 };
 
 /**
- * Cap on the compiled-trace prefix a sampled run acquires for the
- * batch warming kernel (instructions). 2^26 insts is roughly 2 GiB
- * of v2 artifact per distinct workload content — large enough to
- * cover the whole stream for every catalog/bench workload in use,
- * small enough to bound cache-directory growth. Streams longer than this warm the
- * tail with the scalar loop (state-identical either way).
+ * Budget of the memoized compiled prefix a sampled run acquires
+ * (instructions). 2^26 insts is roughly 2 GiB of v2 artifact per
+ * distinct workload content, which bounds memory and cache-directory
+ * growth. Longer streams warm the rest from transient chunks the
+ * stream compiles as it goes (state-identical either way; see
+ * Core::fastForward).
  */
 constexpr InstCount maxSampledTraceInsts = InstCount(1) << 26;
 

@@ -291,7 +291,7 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
         // kernel fast-forwards over the compiled SoA, so the prefix
         // that covers warmup+measure (bounded by maxSampledTraceInsts
         // to keep the artifact finite) pays for itself many times
-        // over. Anything past the cap degrades to the scalar path.
+        // over. Past the cap, fast-forward compiles transient chunks.
         const InstCount want =
             grid[i].opts.sampled()
                 ? std::min(grid[i].opts.warmupInsts +
@@ -582,7 +582,7 @@ SweepRunner::printTimingSummary(std::ostream &os) const
                   "insts fast-forwarded by the batch kernel") +=
         w.kernelInsts;
     wg.addCounter("scalar_insts",
-                  "insts fast-forwarded by the scalar loop") +=
+                  "insts warmed outside the kernel (always 0)") +=
         w.scalarInsts;
     wg.addCounter("branch_events", "branch events the kernel replayed") +=
         w.branchEvents;

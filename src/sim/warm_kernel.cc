@@ -2,16 +2,18 @@
  * @file
  * Batch functional-warming kernel (Core::warmKernel).
  *
- * Replays a window of the compiled architectural stream through the
- * warm structures — caches, predictors, BTB hierarchy, BTB builder —
- * by iterating the elfsim-trace-v2 warming side tables instead of
- * pulling every instruction through the oracle window:
+ * The only fast-forward warmer. Replays a window of the compiled
+ * architectural stream — the memoized prefix, or a transient chunk
+ * the stream compiles past it (Core::fastForward) — through the warm
+ * structures: caches, predictors, BTB hierarchy, BTB builder. It
+ * iterates the elfsim-trace-v2 warming side tables instead of
+ * stepping instruction by instruction:
  *
  *   - the cache pass merges I-line transitions (computed from the
  *     sequential-run list and the configured L0I line size — line
  *     geometry is config-dependent, so transitions are never stored)
  *     with the memory-event list, in stream order, issuing exactly
- *     the instFetch/dataAccess calls the scalar loop would;
+ *     the instFetch/dataAccess calls per-instruction warming would;
  *   - the branch pass walks the branch-event list, catching the BTB
  *     builder up over branch-free gaps with
  *     BtbBuilder::retireSequentialRange, then training
@@ -20,14 +22,14 @@
  *
  * The two passes touch disjoint state (MemHierarchy vs the predictor/
  * BTB group), and each preserves stream order within its group, so
- * splitting them is state-equivalent to the interleaved scalar loop.
- * Work is chunked on the scalar loop's exact ffPollInsts ladder: the
- * ExecContext poll fires at chunk start with the same (cycles,
- * committed) pair the scalar loop would publish, and a poll that
- * throws leaves the chunk unprocessed — i.e. the same state the
- * scalar loop would hold at that poll point. The hard invariant,
- * enforced catalog-wide by test_warm_kernel: serialized warm state
- * after this kernel is byte-identical to the scalar path.
+ * splitting them is state-equivalent to interleaved per-instruction
+ * warming. Work is chunked on the fastForward()-relative ffPollInsts
+ * ladder: the ExecContext poll fires at chunk start with the (cycles,
+ * committed) pair of that stream position, and a poll that throws
+ * leaves the chunk unprocessed. The hard invariant, enforced
+ * catalog-wide by test_warm_kernel against a per-instruction
+ * reference: serialized warm state after this kernel is byte-identical
+ * to warming one instruction at a time.
  */
 
 #include <chrono>
@@ -61,31 +63,26 @@ processWarmStats()
 }
 
 void
-Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
-                 Addr &last_line)
+Core::warmKernel(const CompiledTrace &tr, InstCount base, InstCount kn,
+                 InstCount ff_start, Addr &last_line)
 {
-    ELFSIM_ASSERT(p0 == lastCommitOracleIdx &&
-                      p0 + kn <= tr.size(),
-                  "warm kernel window outside the compiled prefix");
+    const SeqNum idx0 = lastCommitOracleIdx;
+    ELFSIM_ASSERT(base <= idx0 && ff_start <= idx0 &&
+                      idx0 - base + kn <= tr.size(),
+                  "warm kernel window outside its trace");
     const auto wallStart = std::chrono::steady_clock::now();
 
     const Addr lineBytes = Addr(cfg.mem.l0i.lineBytes);
     const Addr lineMask = ~(lineBytes - 1);
-    const Cycle base = coreStats.cycles;
-    const SeqNum idx0 = lastCommitOracleIdx;
+    const Cycle cycle0 = coreStats.cycles;
+    const InstCount q0 = idx0 - base; // first trace position warmed
+    const InstCount rung0 = idx0 - ff_start;
     ExecContext *exec = currentExecContext();
 
-    // The oracle window may hold instructions generated ahead by the
-    // preceding detailed run; the scalar loop would replay them (the
-    // compiled stream is the lazy stream, so replay == table replay).
-    // Drop them and re-serve from the arrays after the seek below.
-    if (!oracle->windowEmpty())
-        oracle->retireUpTo(oracle->newest());
-
     // Side-table cursors, advanced monotonically across chunks.
-    InstCount r = tr.runContaining(p0);
-    InstCount m = tr.firstMemAtOrAfter(p0);
-    InstCount b = tr.firstBranchAtOrAfter(p0);
+    InstCount r = tr.runContaining(q0);
+    InstCount m = tr.firstMemAtOrAfter(q0);
+    InstCount b = tr.firstBranchAtOrAfter(q0);
     const StaticInst *image = prog.instructions().data();
 
     // PC of the branch pass's next unretired position, tracked
@@ -93,18 +90,21 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
     // sequential (runs end only at taken *branches*), and each
     // event's recorded next-PC is the PC after it — taken target or
     // fall-through alike. One search seeds it; no lookups after.
-    Addr gapNextPC = tr.runPC(r) + instsToBytes(p0 - tr.runPos(r));
+    Addr gapNextPC = tr.runPC(r) + instsToBytes(q0 - tr.runPos(r));
 
     std::uint64_t fetches = 0;
     const InstCount bAtEntry = b;
 
-    InstCount i = 0; // call-relative position (poll ladder)
+    InstCount i = 0; // call-relative position
     while (i < kn) {
-        if (exec)
-            exec->poll(base + i, idx0 + i);
-        const InstCount c1 = std::min(i + ffPollInsts, kn);
-        const InstCount A0 = p0 + i;
-        const InstCount A1 = p0 + c1;
+        // Poll on the fastForward()-relative ladder; a chunk runs to
+        // the next rung (or the window end).
+        const InstCount rung = (rung0 + i) % ffPollInsts;
+        if (exec && rung == 0)
+            exec->poll(cycle0 + i, idx0 + i);
+        const InstCount c1 = std::min(i + ffPollInsts - rung, kn);
+        const InstCount A0 = q0 + i;
+        const InstCount A1 = q0 + c1;
 
         // --- cache pass: line transitions merged with mem events ---
         InstCount pos = A0;
@@ -129,7 +129,7 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                            tr.memPos(m) < segEnd) {
                         mem->dataAccess(tr.memPC(m), tr.memEvAddr(m),
                                         tr.memIsStore(m),
-                                        base + (tr.memPos(m) - p0) + 1);
+                                        cycle0 + (tr.memPos(m) - q0) + 1);
                         ++m;
                     }
                     pos = segEnd;
@@ -137,24 +137,24 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                 }
                 // Mem events strictly before the fetch position
                 // precede it; one *at* the fetch position follows the
-                // fetch (scalar order: instFetch, then dataAccess) —
-                // it drains on the next iteration or at segment end.
+                // fetch (instFetch, then dataAccess, per instruction)
+                // — it drains on the next iteration or at segment end.
                 while (m < tr.numMemEvents() && tr.memPos(m) < nf) {
                     mem->dataAccess(tr.memPC(m), tr.memEvAddr(m),
                                     tr.memIsStore(m),
-                                    base + (tr.memPos(m) - p0) + 1);
+                                    cycle0 + (tr.memPos(m) - q0) + 1);
                     ++m;
                 }
                 pc += instsToBytes(nf - pos);
                 pos = nf;
-                mem->instFetch(pc, base + (pos - p0) + 1);
+                mem->instFetch(pc, cycle0 + (pos - q0) + 1);
                 last_line = pc & lineMask;
                 ++fetches;
             }
             if (pos == runEnd) {
-                // The instruction ending this run is a taken
-                // transfer; the scalar loop resets its line register
-                // after every taken branch so the target refetches.
+                // The instruction ending this run is a taken transfer
+                // (or the trace's last): after a taken transfer the
+                // line register resets so the target refetches.
                 if (tr.taken(runEnd - 1))
                     last_line = invalidAddr;
                 ++r;
@@ -174,12 +174,17 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
                           "branch-pass PC tracking diverged");
             const bool taken = tr.branchTaken(b);
             const Addr target = tr.branchTarget(b);
+            // Train exactly like commit of an unpredicted branch:
+            // invalid TAGE/ITTAGE predictions make commitBranch
+            // re-predict on the architectural history first.
             bank->commitBranch(si.pc, si.branch, taken, target,
                                TagePrediction{}, IttagePrediction{},
                                historyVisible(si));
             controller->coupledPredictors().trainCommit(
                 si.pc, si.branch, taken, target, FetchMode::Coupled);
             if (taken) {
+                // Model the DCF probing the BTB at the target: warms
+                // hit/promotion state for the upcoming regions.
                 btbHier->lookup(target);
             }
             builder->retire(si, taken, target);
@@ -192,16 +197,14 @@ Core::warmKernel(const CompiledTrace &tr, InstCount p0, InstCount kn,
             gapNextPC += instsToBytes(A1 - gapStart);
         }
 
-        // Chunk done: publish the scalar loop's end-of-chunk state.
-        coreStats.cycles = base + c1;
+        // Chunk done: publish the per-instruction end-of-chunk state
+        // (one synthetic cycle per instruction — the caches' absolute
+        // readyCycle/LRU bookkeeping needs a clock shared with the
+        // detailed windows).
+        coreStats.cycles = cycle0 + c1;
         lastCommitOracleIdx = idx0 + c1;
         i = c1;
     }
-
-    // Reposition the stream after the warmed window; the next
-    // instruction served is idx0 + kn + 1 (from the arrays inside
-    // the prefix, resuming the saved generator state past it).
-    oracle->seekTo(idx0 + kn + 1);
 
     warmStats_.kernelInsts += kn;
     warmStats_.branchEvents += b - bAtEntry;

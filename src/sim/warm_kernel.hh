@@ -6,7 +6,7 @@
  * a window of the compiled-trace SoA through the warm structures —
  * predictors, BTB hierarchy, caches — using the elfsim-trace-v2
  * warming side tables (branch events, sequential runs, memory
- * events) instead of the scalar per-instruction loop, with
+ * events) instead of stepping instruction by instruction, with
  * bit-identical training semantics (see DESIGN.md, "Batch warming
  * kernel"). This header carries the counters it reports and the
  * process-wide accumulator the sweep timing summary reads.
@@ -32,7 +32,9 @@ namespace elfsim {
 struct WarmStats
 {
     std::uint64_t kernelInsts = 0;   ///< insts warmed by the kernel
-    std::uint64_t scalarInsts = 0;   ///< insts warmed by the scalar loop
+    std::uint64_t scalarInsts = 0;   ///< always 0: the kernel is the
+                                     ///< only warmer (kept for the
+                                     ///< warm_scalar_insts field)
     std::uint64_t branchEvents = 0;  ///< branch events replayed
     std::uint64_t linesTouched = 0;  ///< I-side line fetches issued
     double kernelSeconds = 0.0;      ///< wall time inside the kernel

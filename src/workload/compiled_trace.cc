@@ -209,63 +209,75 @@ CompiledTrace::key(const Program &prog, InstCount count)
 std::shared_ptr<const CompiledTrace>
 CompiledTrace::compile(const Program &prog, InstCount count)
 {
-    std::shared_ptr<CompiledTrace> t(new CompiledTrace);
-    t->count_ = count;
-    t->key_ = key(prog, count);
+    OracleGen gen;
+    gen.reset(prog);
+    Builder b(prog, count);
+    for (InstCount i = 0; i < count; ++i)
+        b.add(gen.step(prog));
+    return b.finish(std::move(gen), key(prog, count));
+}
 
+CompiledTrace::Builder::Builder(const Program &prog, InstCount count)
+    : t(new CompiledTrace), imageBase(prog.instructions().data())
+{
+    t->count_ = count;
     t->ownTaken_.assign(takenWordsFor(count), 0);
     t->ownNextPC_.resize(count);
     t->ownMemAddr_.resize(count);
     t->ownSiIdx_.resize(count);
+}
 
-    const StaticInst *imageBase = prog.instructions().data();
-    OracleGen gen;
-    gen.reset(prog);
-    // Warming side-table derivation runs inline with the generation
-    // pass: a new sequential run opens at position 0 and after every
-    // taken transfer; every branch-kinded and memory instruction
-    // contributes one event in stream order.
-    bool newRun = true;
-    Addr fallThrough = invalidAddr;
-    for (InstCount i = 0; i < count; ++i) {
-        const OracleInst oi = gen.step(prog);
-        const StaticInst &si = *oi.si;
-        t->ownSiIdx_[i] = std::uint32_t(oi.si - imageBase);
-        if (oi.taken)
-            t->ownTaken_[i >> 6] |= std::uint64_t(1) << (i & 63);
-        t->ownNextPC_[i] = oi.nextPC;
-        t->ownMemAddr_[i] = oi.memAddr;
+void
+CompiledTrace::Builder::add(const OracleInst &oi)
+{
+    // Warming side-table derivation runs inline with materialization:
+    // a new sequential run opens at position 0 and after every taken
+    // transfer; every branch-kinded and memory instruction contributes
+    // one event in stream order.
+    ELFSIM_ASSERT(n < t->count_, "trace builder overfilled");
+    const InstCount i = n++;
+    const StaticInst &si = *oi.si;
+    t->ownSiIdx_[i] = std::uint32_t(oi.si - imageBase);
+    if (oi.taken)
+        t->ownTaken_[i >> 6] |= std::uint64_t(1) << (i & 63);
+    t->ownNextPC_[i] = oi.nextPC;
+    t->ownMemAddr_[i] = oi.memAddr;
 
-        if (newRun) {
-            t->ownRunPos_.push_back(std::uint32_t(i));
-            t->ownRunPC_.push_back(si.pc);
-        } else {
-            ELFSIM_ASSERT(si.pc == fallThrough,
-                          "non-sequential PC inside a run");
-        }
-        if (si.branch != BranchKind::None) {
-            t->ownBranchPos_.push_back(std::uint32_t(i));
-            t->ownBranchPC_.push_back(si.pc);
-            t->ownBranchTarget_.push_back(oi.nextPC);
-            t->ownBranchKind_.push_back(
-                std::uint8_t(std::uint64_t(si.branch)) |
-                (oi.taken ? std::uint8_t(0x80) : std::uint8_t(0)));
-        }
-        if (si.isMemInst()) {
-            const std::size_t j = t->ownMemPos_.size();
-            if ((j & 63) == 0)
-                t->ownStoreWords_.push_back(0);
-            if (si.isStore())
-                t->ownStoreWords_[j >> 6] |=
-                    std::uint64_t(1) << (j & 63);
-            t->ownMemPos_.push_back(std::uint32_t(i));
-            t->ownMemPC_.push_back(si.pc);
-            t->ownMemEvAddr_.push_back(oi.memAddr);
-        }
-        newRun = oi.taken;
-        fallThrough = si.pc + instBytes;
+    if (newRun) {
+        t->ownRunPos_.push_back(std::uint32_t(i));
+        t->ownRunPC_.push_back(si.pc);
+    } else {
+        ELFSIM_ASSERT(si.pc == fallThrough,
+                      "non-sequential PC inside a run");
     }
-    t->end_ = std::move(gen);
+    if (si.branch != BranchKind::None) {
+        t->ownBranchPos_.push_back(std::uint32_t(i));
+        t->ownBranchPC_.push_back(si.pc);
+        t->ownBranchTarget_.push_back(oi.nextPC);
+        t->ownBranchKind_.push_back(
+            std::uint8_t(std::uint64_t(si.branch)) |
+            (oi.taken ? std::uint8_t(0x80) : std::uint8_t(0)));
+    }
+    if (si.isMemInst()) {
+        const std::size_t j = t->ownMemPos_.size();
+        if ((j & 63) == 0)
+            t->ownStoreWords_.push_back(0);
+        if (si.isStore())
+            t->ownStoreWords_[j >> 6] |= std::uint64_t(1) << (j & 63);
+        t->ownMemPos_.push_back(std::uint32_t(i));
+        t->ownMemPC_.push_back(si.pc);
+        t->ownMemEvAddr_.push_back(oi.memAddr);
+    }
+    newRun = oi.taken;
+    fallThrough = si.pc + instBytes;
+}
+
+std::shared_ptr<const CompiledTrace>
+CompiledTrace::Builder::finish(OracleGen end, std::uint64_t key)
+{
+    ELFSIM_ASSERT(n == t->count_, "trace builder underfilled");
+    t->key_ = key;
+    t->end_ = std::move(end);
     t->nBranch_ = t->ownBranchPos_.size();
     t->nRun_ = t->ownRunPos_.size();
     t->nMem_ = t->ownMemPos_.size();
@@ -284,7 +296,7 @@ CompiledTrace::compile(const Program &prog, InstCount count)
     t->runPos_ = t->ownRunPos_.data();
     t->memPos_ = t->ownMemPos_.data();
     t->branchKind_ = t->ownBranchKind_.data();
-    return t;
+    return std::move(t);
 }
 
 std::size_t

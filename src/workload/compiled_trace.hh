@@ -2,20 +2,28 @@
  * @file
  * Compiled architectural-trace artifact.
  *
- * A CompiledTrace materializes the first N instructions of a
+ * A CompiledTrace materializes N consecutive instructions of a
  * workload's dynamic stream — the exact sequence OracleStream would
  * generate lazily — into a flat, index-addressable structure-of-arrays
  * buffer: static-instruction index, taken bitset, next PC, and bound
- * memory address. Building it costs one pass of the shared OracleGen
- * kernel; afterwards every simulation cell of a sweep (and every bench
- * in a campaign, via the on-disk TraceCache) reads the same immutable
- * buffer instead of re-evaluating conditional-outcome specs, indirect
- * target specs, and memory hash chains per instruction per cell.
+ * memory address. It comes in two shapes, built by the same
+ * CompiledTrace::Builder pass over the shared OracleGen kernel:
  *
- * The trace also records the generator state *after* instruction N
- * (PC, call stack, spec instance counters) so a consumer that runs
- * past the compiled prefix resumes lazy generation seamlessly — the
- * compiled and lazy streams are indistinguishable at every index.
+ *   - a memoized *prefix* (compile()): the first N instructions, which
+ *     every simulation cell of a sweep (and every bench in a campaign,
+ *     via the on-disk TraceCache) reads as the same immutable buffer
+ *     instead of re-evaluating conditional-outcome specs, indirect
+ *     target specs, and memory hash chains per instruction per cell;
+ *   - a transient *chunk* (OracleStream::compileNext): the next N
+ *     instructions from any stream position past the prefix,
+ *     compiled so fast-forward can warm them with the batch kernel,
+ *     then dropped. Its positions count from the chunk start, and it
+ *     is never keyed, cached, or saved.
+ *
+ * The trace also records the generator state *after* its last
+ * instruction (PC, call stack, spec instance counters), so a consumer
+ * that runs past it resumes lazy generation seamlessly — the compiled
+ * and lazy streams are indistinguishable at every index.
  *
  * Besides the per-instruction arrays, compilation derives three
  * *warming side tables* — flat event lists the batch warming kernel
@@ -90,9 +98,35 @@ class CompiledTrace
 {
   public:
     /** Run the generation kernel for @a count instructions of
-     *  @a prog and materialize the results. */
+     *  @a prog from its entry and materialize the results. */
     static std::shared_ptr<const CompiledTrace>
     compile(const Program &prog, InstCount count);
+
+    /**
+     * The one materialization pass behind compile() and
+     * OracleStream::compileNext(): feed exactly @a count architectural
+     * instructions in stream order — stepped from an OracleGen in any
+     * state, or already generated — then finish() with the generator
+     * state after the last one. Positions in the result are relative
+     * to the first instruction fed.
+     */
+    class Builder
+    {
+      public:
+        Builder(const Program &prog, InstCount count);
+        void add(const OracleInst &oi);
+        /** The trace, keyed @a key (0 for a transient chunk, which is
+         *  never cached). */
+        std::shared_ptr<const CompiledTrace>
+        finish(OracleGen end, std::uint64_t key = 0);
+
+      private:
+        std::shared_ptr<CompiledTrace> t;
+        const StaticInst *imageBase;
+        InstCount n = 0;
+        bool newRun = true;
+        Addr fallThrough = invalidAddr;
+    };
 
     /**
      * Content hash identifying a (program, instruction count) pair:

@@ -92,6 +92,7 @@ OracleStream::OracleStream(const Program &prog, std::size_t window_cap,
       trace(std::move(trace))
 {
     gen.reset(prog);
+    setAnchor();
 }
 
 OracleStream::~OracleStream() = default;
@@ -119,41 +120,71 @@ OracleStream::retireUpTo(SeqNum idx)
 }
 
 void
-OracleStream::seekTo(SeqNum next_idx)
+OracleStream::seekTo(SeqNum next_idx, const OracleGen *state)
 {
     ELFSIM_ASSERT(window.empty(),
                   "oracle seek with %zu unretired instructions",
                   window.size());
     ELFSIM_ASSERT(next_idx >= 1, "oracle seek to index 0");
     const InstCount pos = next_idx - 1;
-    ELFSIM_ASSERT((trace && pos <= trace->size()) || pos == 0,
-                  "oracle seek past the compiled prefix needs a "
-                  "generator state");
     baseIdx = next_idx;
     genCursor = pos;
+    // Inside the compiled prefix the arrays are authoritative; the
+    // generator re-adopts the trace end state at the edge.
     tailAdopted = false;
-    if (pos == 0)
+    if (trace && pos <= trace->size())
+        return;
+    if (state) {
+        gen = *state;
+    } else {
+        ELFSIM_ASSERT(pos == 0, "oracle seek past the compiled prefix "
+                                "needs a generator state");
         gen.reset(prog);
+    }
+    tailAdopted = trace != nullptr;
+    setAnchor();
+}
+
+std::shared_ptr<const CompiledTrace>
+OracleStream::compileNext(InstCount n)
+{
+    const InstCount pos = baseIdx - 1;
+    ELFSIM_ASSERT(!trace || pos >= trace->size(),
+                  "stream chunk inside the compiled prefix");
+    CompiledTrace::Builder chunk(prog, n);
+    InstCount fed = 0;
+    if (window.size() <= n) {
+        // The window (if any) is generated-ahead work of a detailed
+        // run: reuse it, then keep stepping the live generator.
+        window.forEach([&chunk](const OracleInst &oi) { chunk.add(oi); });
+        fed = window.size();
+        if (trace && !tailAdopted) {
+            gen = trace->endState();
+            tailAdopted = true;
+        }
+    } else {
+        // The live generator already ran past the chunk end, which it
+        // cannot rewind: replay from the anchor up to the chunk start.
+        ELFSIM_ASSERT(anchorPos <= pos, "oracle anchor ahead of chunk");
+        gen = anchor;
+        for (InstCount i = anchorPos; i < pos; ++i)
+            gen.step(prog);
+    }
+    while (!window.empty())
+        window.dropFront();
+    for (; fed < n; ++fed)
+        chunk.add(gen.step(prog));
+    baseIdx += n;
+    genCursor = pos + n;
+    setAnchor();
+    return chunk.finish(gen);
 }
 
 void
-OracleStream::seekTo(SeqNum next_idx, const OracleGen &state)
+OracleStream::setAnchor()
 {
-    ELFSIM_ASSERT(window.empty(),
-                  "oracle seek with %zu unretired instructions",
-                  window.size());
-    ELFSIM_ASSERT(next_idx >= 1, "oracle seek to index 0");
-    const InstCount pos = next_idx - 1;
-    baseIdx = next_idx;
-    genCursor = pos;
-    if (trace && pos <= trace->size()) {
-        // Inside the compiled prefix the arrays are authoritative;
-        // the generator re-adopts the trace end state at the edge.
-        tailAdopted = false;
-        return;
-    }
-    gen = state;
-    tailAdopted = trace != nullptr;
+    anchor = gen;
+    anchorPos = genCursor;
 }
 
 void
@@ -183,6 +214,7 @@ OracleStream::generateOne()
             // resume the lazy generator from the trace's end state.
             gen = trace->endState();
             tailAdopted = true;
+            setAnchor();
         }
     }
 

@@ -152,20 +152,24 @@ class OracleStream
 
     /**
      * Reposition the stream so the next instruction served is the
-     * 1-based index @a next_idx. Requires an empty in-flight window
-     * and a position covered by the compiled prefix (or position 0).
+     * 1-based index @a next_idx. Requires an empty in-flight window.
+     * Inside the compiled prefix the arrays serve and @a state is
+     * ignored; past it lazy generation resumes from @a state (a
+     * checkpointed OracleGen), which only position 0 may omit.
      */
-    void seekTo(SeqNum next_idx);
+    void seekTo(SeqNum next_idx, const OracleGen *state = nullptr);
 
     /**
-     * Reposition to @a next_idx resuming lazy generation from
-     * @a state (a checkpointed OracleGen). Inside the compiled prefix
-     * the arrays stay authoritative and @a state is ignored.
+     * Materialize the next @a n instructions (1-based oldest() ..
+     * oldest() + n - 1) as a transient CompiledTrace chunk, with its
+     * warming side tables, and consume them: the stream is left
+     * positioned after the chunk with an empty window and a live
+     * generator, so genState() equals the chunk's endState().
+     * Instructions a preceding detailed run generated ahead are taken
+     * from the window first. The position must lie past the compiled
+     * prefix (the fast-forward path; see Core::fastForward).
      */
-    void seekTo(SeqNum next_idx, const OracleGen &state);
-
-    /** 0-based position of the next instruction to generate. */
-    InstCount genPosition() const { return genCursor; }
+    std::shared_ptr<const CompiledTrace> compileNext(InstCount n);
 
     /** True iff the in-flight window is empty (safe to seek). */
     bool windowEmpty() const { return window.empty(); }
@@ -185,6 +189,8 @@ class OracleStream
 
   private:
     void generateOne();
+    /** Record the live generator as the replay anchor (see anchor). */
+    void setAnchor();
 
     const Program &prog;
     std::size_t windowCap;
@@ -201,6 +207,12 @@ class OracleStream
     OracleGen gen;
     /** Has gen adopted the trace's end state for the tail? */
     bool tailAdopted = false;
+    /** The last exact generator state at or before the window base —
+     *  taken wherever gen is (re)seeded and after every chunk — from
+     *  which compileNext() replays when the live generator has run
+     *  past the chunk end. */
+    OracleGen anchor;
+    InstCount anchorPos = 0;
 };
 
 } // namespace elfsim

@@ -49,11 +49,6 @@ TraceCache::TraceCache()
         if (*env)
             dir = env;
     }
-    if (const char *env = std::getenv("ELFSIM_TRACE")) {
-        const std::string v = env;
-        if (v == "0" || v == "off" || v == "false")
-            on = false;
-    }
 }
 
 TraceCache &

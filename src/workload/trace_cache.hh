@@ -17,10 +17,12 @@
  * recompiling, so a poisoned cache can slow a run down but never fail
  * it (the 'tracecache' fault-injection site tests exactly this).
  *
- * Tracing defaults to ON (in-memory memoization only). Set
- * $ELFSIM_TRACE=0 (or 'off') or call setEnabled(false) to force every
- * stream back to lazy per-instruction generation — the reference path
- * the compiled stream is tested against.
+ * Tracing defaults to ON (in-memory memoization only).
+ * setEnabled(false) is a test seam: acquire() then returns null, so
+ * detailed runs generate their stream lazily — the reference the
+ * compiled stream is tested against. Fast-forward does not depend on
+ * it: past any memoized prefix, Core::fastForward compiles transient
+ * chunks of the stream itself (workload/compiled_trace.hh).
  */
 
 #ifndef ELFSIM_WORKLOAD_TRACE_CACHE_HH
@@ -66,7 +68,7 @@ class TraceCache
 {
   public:
     /** The process-wide cache, configured from $ELFSIM_TRACE_CACHE
-     *  (directory) and $ELFSIM_TRACE (0/off disables) on first use. */
+     *  (directory) on first use. */
     static TraceCache &instance();
 
     /**
@@ -94,7 +96,7 @@ class TraceCache
     void setDirectory(std::string dir);
     std::string directory() const;
 
-    /** Globally enable/disable trace compilation. */
+    /** Globally enable/disable the memoized prefix (test seam). */
     void setEnabled(bool on);
     bool enabled() const;
 
@@ -113,7 +115,7 @@ class TraceCache
     void clearMemory();
 
   private:
-    /** Reads $ELFSIM_TRACE_CACHE / $ELFSIM_TRACE (see instance()). */
+    /** Reads $ELFSIM_TRACE_CACHE (see instance()). */
     TraceCache();
 
     std::string pathForKey(const std::string &name,

@@ -5,8 +5,9 @@
  * workload catalog, checkpointed re-runs are byte-identical to cold
  * runs (and actually hit), corrupt or injected-fault checkpoint
  * artifacts fall back to fast-forward transparently, bad schedules
- * are rejected up front, and a sampled sweep exports identically at
- * any thread count.
+ * are rejected up front, a stream that runs past its compiled prefix
+ * matches one fully covered by its trace, and a sampled sweep exports
+ * identically at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "workload/builders.hh"
 #include "workload/catalog.hh"
 #include "workload/checkpoint_store.hh"
+#include "workload/compiled_trace.hh"
 
 using namespace elfsim;
 
@@ -107,6 +109,18 @@ toJson(const RunResult &r)
     JsonWriter w(os);
     writeRunResult(w, r);
     return os.str();
+}
+
+/** @a r with the four functional-warming work counters zeroed: they
+ *  count how the fast-forward was done, not what it produced. */
+RunResult
+withoutWarmWork(RunResult r)
+{
+    r.sampling.warmKernelInsts = 0;
+    r.sampling.warmScalarInsts = 0;
+    r.sampling.warmBranchEvents = 0;
+    r.sampling.warmLinesTouched = 0;
+    return r;
 }
 
 RunOptions
@@ -241,6 +255,48 @@ TEST(Sampling, CheckpointedRerunIsByteIdenticalAndSkipsFastForward)
     a.sampling.warmLinesTouched = b.sampling.warmLinesTouched = 0;
     a.sampling.warmFfInsts = b.sampling.warmFfInsts = 0;
     EXPECT_EQ(toJson(a), toJson(b));
+}
+
+// A sampled stream that runs far past a deliberately short compiled
+// prefix: there, fast-forward warms transient chunks compiled from
+// the stream. Against the same run backed by a trace covering the
+// whole stream, only the warm work counters may differ — cold, and
+// as a checkpointed re-run, which must restore every window (past
+// the prefix through the saved generator resume state).
+TEST(Sampling, ShortPrefixMatchesFullTraceColdAndRestored)
+{
+    Program p = buildWorkload(workloadCatalog().front());
+    const RunOptions so = sampledOpts(150000, 15000, 2500, 500);
+    RunOptions fullOpts = so, shortOpts = so;
+    fullOpts.trace = CompiledTrace::compile(p, 150000);
+    shortOpts.trace = CompiledTrace::compile(p, 20000);
+
+    RunResult fullCold, fullRerun, shortCold, shortRerun;
+    {
+        ScopedCkptDir dir("elfsim_sampling_full_prefix");
+        fullCold = runVariant(p, FrontendVariant::UElf, fullOpts);
+        fullRerun = runVariant(p, FrontendVariant::UElf, fullOpts);
+    }
+    {
+        ScopedCkptDir dir("elfsim_sampling_short_prefix");
+        shortCold = runVariant(p, FrontendVariant::UElf, shortOpts);
+        shortRerun = runVariant(p, FrontendVariant::UElf, shortOpts);
+    }
+
+    // Every window but one starting at position 0 is checkpointed,
+    // and the re-run restores all of them.
+    EXPECT_GE(shortCold.sampling.ckptSaves, shortCold.sampling.windows - 1);
+    EXPECT_EQ(shortRerun.sampling.ckptHits, shortCold.sampling.ckptSaves);
+    EXPECT_EQ(shortRerun.sampling.ckptMisses, 0u);
+    EXPECT_EQ(shortRerun.sampling.warmFfInsts, 0u);
+    EXPECT_GT(shortCold.sampling.warmFfInsts, 0u);
+    EXPECT_EQ(shortCold.sampling.warmKernelInsts,
+              shortCold.sampling.warmFfInsts);
+
+    EXPECT_EQ(toJson(withoutWarmWork(shortCold)),
+              toJson(withoutWarmWork(fullCold)));
+    EXPECT_EQ(toJson(withoutWarmWork(shortRerun)),
+              toJson(withoutWarmWork(fullRerun)));
 }
 
 TEST(Sampling, CorruptCheckpointsFallBackToFastForward)
