@@ -6,7 +6,9 @@
  *
  * Renaming is idealized (the PRF bounds in-flight producers, WAR/WAW
  * never stall); dependencies flow through architectural registers via
- * a producer scoreboard that is rebuilt exactly on squash.
+ * a producer scoreboard that is rebuilt exactly on squash. Select is
+ * event-driven: producers wake their consumers at completion, and
+ * issue walks a ready bitmap over ROB slots in age order.
  */
 
 #ifndef ELFSIM_BACKEND_BACKEND_HH
@@ -87,8 +89,9 @@ class Backend
     void tick(Cycle now, Redirect &redirect);
 
     /**
-     * Squash every instruction younger than @a survivor_seq and
-     * rebuild the producer scoreboard.
+     * Squash every instruction younger than @a survivor_seq, rebuild
+     * the producer scoreboard and unlink squashed consumers from the
+     * surviving producers' wake lists.
      */
     void squashYoungerThan(SeqNum survivor_seq);
 
@@ -119,7 +122,7 @@ class Backend
 
     /** Oldest in-flight instruction, or nullptr. */
     const DynInst *robHead() const { return rob.empty() ? nullptr : &rob.front(); }
-    std::size_t iqSize() const { return iq.size(); }
+    std::size_t iqSize() const { return iqCount; }
     std::size_t lsqSize() const { return lsq.size(); }
     std::size_t renamePipeSize() const { return renamePipe.size(); }
 
@@ -132,10 +135,10 @@ class Backend
 
   private:
     /**
-     * IQ/LSQ entry: the instruction's seq plus its stable ROB ring
-     * position — the O(1) seq→slot index that replaces the per-entry
-     * binary search over the ROB. The position is validated against
-     * the slot's seq on use (see DynInst::srcPos0).
+     * LSQ entry: the instruction's seq plus its stable ROB ring
+     * position — the O(1) seq→slot index that replaces a binary
+     * search over the ROB. An LSQ entry leaves at commit or squash,
+     * together with its ROB slot, so the position is always live.
      */
     struct SeqSlot
     {
@@ -165,14 +168,15 @@ class Backend
                            const CompletionEvent &b);
 
     void dispatch(Cycle now);
-    void issue(Cycle now, Redirect &redirect);
+    void issue(Cycle now);
     void complete(Cycle now, Redirect &redirect);
     void commit(Cycle now);
-    void rebuildScoreboard();
+    void wake(std::uint32_t producer_pos);
+    void setReady(std::size_t pos);
+    void clearReady(std::size_t pos);
 
     DynInst *findBySeq(SeqNum seq);
     const DynInst *findBySeq(SeqNum seq) const;
-    bool sourcesReady(const DynInst &di) const;
     Cycle execLatency(const DynInst &di, Cycle now);
 
     BackendParams params;
@@ -182,8 +186,22 @@ class Backend
 
     BoundedQueue<DynInst> renamePipe; ///< decode -> dispatch delay
     BoundedQueue<DynInst> rob;        ///< program order, stable slots
-    std::vector<SeqSlot> iq;          ///< waiting/unissued, in order
-    std::vector<SeqSlot> lsq;         ///< loads+stores in flight
+    BoundedQueue<SeqSlot> lsq;        ///< loads+stores in flight
+
+    /**
+     * Wakeup state, indexed by ROB ring position and sized at
+     * construction. Each consumer owns three link nodes (3 * pos + s:
+     * sources 0 and 1, and s == 2 for the awaited store); a node is
+     * linked onto its producer's list at dispatch iff that producer
+     * had not completed. Lists run newest consumer first, so the
+     * consumers a squash removes are always a prefix.
+     */
+    std::vector<std::int32_t> wakeHead;  ///< per producer slot, -1 = none
+    std::vector<std::int32_t> wakeNext;  ///< per link node, -1 = end
+    std::vector<std::uint8_t> pendingSrcs; ///< unresolved sources per slot
+    /** Dispatched, unissued slots with every source resolved. */
+    std::vector<std::uint64_t> readyBits;
+    std::size_t iqCount = 0;             ///< dispatched and unissued
 
     /** Pending completions, min-heap on cycle (std::*_heap). */
     std::vector<CompletionEvent> compHeap;

@@ -209,13 +209,13 @@ class BoundedQueue
 
 /**
  * Binary search a queue whose elements carry an ascending `seq`
- * member (pipeline buffers are filled in fetch order). Replaces the
- * linear scans the fetch-buffer/ROB lookups used to do.
- * @return the element with that seq, or nullptr.
+ * member (pipeline buffers are filled in fetch order).
+ * @return the front-relative index of the first element whose seq is
+ * not less than @a seq, or size() if there is none.
  */
 template <typename T, typename Seq>
-T *
-findSeqInQueue(BoundedQueue<T> &q, Seq seq)
+std::size_t
+lowerBoundSeq(const BoundedQueue<T> &q, Seq seq)
 {
     std::size_t lo = 0, hi = q.size();
     while (lo < hi) {
@@ -225,8 +225,22 @@ findSeqInQueue(BoundedQueue<T> &q, Seq seq)
         else
             hi = mid;
     }
-    if (lo < q.size() && q.at(lo).seq == seq)
-        return &q.at(lo);
+    return lo;
+}
+
+/**
+ * Find the element with @a seq in an ascending-seq queue (see
+ * lowerBoundSeq). Replaces the linear scans the fetch-buffer/ROB
+ * lookups used to do.
+ * @return the element with that seq, or nullptr.
+ */
+template <typename T, typename Seq>
+T *
+findSeqInQueue(BoundedQueue<T> &q, Seq seq)
+{
+    const std::size_t i = lowerBoundSeq(q, seq);
+    if (i < q.size() && q.at(i).seq == seq)
+        return &q.at(i);
     return nullptr;
 }
 

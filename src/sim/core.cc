@@ -239,16 +239,6 @@ Core::applyRedirect(Redirect r)
         }
     }
 
-#ifdef ELFSIM_TRACE_REDIRECTS
-    std::fprintf(stderr,
-                 "[%llu] redirect kind=%d survivor=%llu target=0x%llx "
-                 "cursor=%llu mode=%d\n",
-                 (unsigned long long)coreStats.cycles, int(r.kind),
-                 (unsigned long long)r.survivorSeq,
-                 (unsigned long long)r.targetPC,
-                 (unsigned long long)r.oracleCursor,
-                 int(controller->mode()));
-#endif
     switch (r.kind) {
       case RedirectKind::ExecMispredict:
         ++coreStats.execFlushes;

@@ -3,6 +3,7 @@
 #include <deque>
 
 #include "backend/backend.hh"
+#include "polling_backend.hh"
 #include "workload/program_builder.hh"
 
 using namespace elfsim;
@@ -286,8 +287,8 @@ TEST(Backend, CoupledCommitCounted)
 TEST(Backend, SeqSlotIndexSurvivesSquashAndRingWraparound)
 {
     // Small ROB so the ring position counter wraps several times; the
-    // stable-position seq index handed to the IQ/LSQ must keep
-    // re-validating slot seqs across squashes and wraps.
+    // stable ROB positions held by the LSQ, the completion events and
+    // the wake lists must stay exact across squashes and wraps.
     BackendParams bp;
     bp.robEntries = 8;
     bp.iqEntries = 8;
@@ -326,4 +327,106 @@ TEST(Backend, SeqSlotIndexSurvivesSquashAndRingWraparound)
         prev = di.seq;
     }
     EXPECT_TRUE(r.be.empty());
+}
+
+TEST(Backend, SquashedWaiterSlotReuseIsNotWokenByOldProducer)
+{
+    // P (slow div) and Q (div on P) survive; C waits on P and is
+    // squashed. D reuses C's ROB slot and waits on Q only. P's
+    // completion must not wake D: D issues once Q completes.
+    ProgramBuilder pb;
+    pb.beginBlock();
+    pb.addOp(InstClass::IntDiv, 5, 6);     // P: r5
+    pb.addOp(InstClass::IntDiv, 9, 5);     // Q: r9 <- r5
+    pb.addOp(InstClass::IntAlu, 7, 5);     // C: r7 <- r5
+    pb.addOp(InstClass::IntAlu, 10, 9);    // D: r10 <- r9
+    pb.endJump(0);
+    Program prog = pb.finalize("slot_reuse");
+    Rig r(std::move(prog));
+    const auto &code = r.prog.instructions();
+
+    Cycle cycle = 0;
+    r.be.accept(r.makeInst(&code[0]), cycle);
+    r.be.accept(r.makeInst(&code[1]), cycle);
+    r.be.accept(r.makeInst(&code[2]), cycle);
+    r.run(cycle, 5); // all three dispatched; P issued, Q and C wait
+    ASSERT_EQ(r.be.iqSize(), 2u);
+    r.be.squashYoungerThan(2); // C goes
+    EXPECT_EQ(r.be.iqSize(), 1u);
+    DynInst d = r.makeInst(&code[3]);
+    d.seq = 3; // same seq, same ROB slot as C
+    r.be.accept(std::move(d), cycle);
+
+    while (r.committed.size() < 3 && cycle < 200)
+        r.run(cycle, 1);
+    ASSERT_EQ(r.committed.size(), 3u);
+    const DynInst &q = r.committed[1];
+    const DynInst &dd = r.committed[2];
+    ASSERT_EQ(dd.si, &code[3]);
+    // D is ready in the cycle Q completes, never earlier.
+    EXPECT_EQ(dd.completeCycle,
+              q.completeCycle + r.be.config().issueToExec);
+}
+
+TEST(Backend, FilteredLoadIssuesWhenStoreAndProducerCompleteTogether)
+{
+    // The load's address producer X and its awaited store S complete
+    // in the same cycle; the load becomes ready on that cycle, exactly
+    // as the polling select decides.
+    ProgramBuilder pb;
+    pb.beginBlock();
+    MemSpec ms;
+    ms.regionBase = 0x20000;
+    ms.regionSize = 64;
+    pb.addOp(InstClass::IntAlu, 5); // A: store data r5
+    pb.addOp(InstClass::IntAlu, 3); // B: r3
+    pb.addOp(InstClass::IntAlu, 4, 3); // X: r4 <- r3
+    pb.addStore(ms, 5);             // S: data r5
+    pb.addLoad(ms, 7, 4);           // L: addr r4
+    pb.endJump(0);
+    Program prog = pb.finalize("same_cycle_wake");
+    const auto &code = prog.instructions();
+
+    // Issue cycle of every seq, and completion cycles, from one run.
+    const auto runOn = [&](auto &be, MemHierarchy &mem,
+                           MemDepPredictor &mdp) {
+        mdp.train(code[4].pc, code[3].pc);
+        mem.dataAccess(0, 0x20000, false, 0);
+        std::vector<Cycle> issuedAt(6, 0), done(6, 0);
+        Cycle cycle = 400;
+        for (SeqNum s = 1; s <= 5; ++s) {
+            DynInst di;
+            di.si = &code[s - 1];
+            di.seq = s;
+            di.memAddr = di.si->isMemInst() ? 0x20000 : invalidAddr;
+            di.actualNext = di.si->nextPC();
+            be.accept(std::move(di), cycle);
+        }
+        for (unsigned i = 0; i < 60; ++i) {
+            Redirect red;
+            be.tick(++cycle, red);
+            EXPECT_FALSE(red.pending());
+            be.forEachInFlight([&](const DynInst &di) {
+                if (di.issued && issuedAt[di.seq] == 0) {
+                    issuedAt[di.seq] = cycle;
+                    done[di.seq] = di.completeCycle;
+                }
+            });
+        }
+        return std::make_pair(issuedAt, done);
+    };
+
+    MemHierarchy memF, memR;
+    MemDepPredictor mdpF, mdpR;
+    Backend fast(BackendParams{}, memF, mdpF);
+    PollingBackend ref(BackendParams{}, memR, mdpR);
+    const auto [issueF, doneF] = runOn(fast, memF, mdpF);
+    const auto [issueR, doneR] = runOn(ref, memR, mdpR);
+
+    ASSERT_NE(doneF[3], 0u);
+    EXPECT_EQ(doneF[3], doneF[4]); // X and S complete together
+    EXPECT_EQ(issueF[5], doneF[3]); // L issues that very cycle
+    EXPECT_EQ(issueF, issueR);
+    EXPECT_EQ(doneF, doneR);
+    EXPECT_EQ(fast.stats().committed, 5u);
 }

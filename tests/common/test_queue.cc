@@ -76,3 +76,26 @@ TEST(BoundedQueue, ClearEmpties)
     q.push(7);
     EXPECT_EQ(q.front(), 7);
 }
+
+TEST(BoundedQueue, LowerBoundSeqAcrossWrap)
+{
+    struct Entry
+    {
+        unsigned seq;
+    };
+    BoundedQueue<Entry> q(4);
+    EXPECT_EQ(lowerBoundSeq(q, 1u), 0u);
+    q.push({1});
+    q.push({2});
+    q.dropFront();
+    q.dropFront();
+    for (unsigned s : {10u, 20u, 30u, 40u}) // wraps the ring
+        q.push({s});
+    EXPECT_EQ(lowerBoundSeq(q, 5u), 0u);
+    EXPECT_EQ(lowerBoundSeq(q, 20u), 1u);
+    EXPECT_EQ(lowerBoundSeq(q, 21u), 2u);
+    EXPECT_EQ(lowerBoundSeq(q, 41u), 4u);
+    ASSERT_NE(findSeqInQueue(q, 30u), nullptr);
+    EXPECT_EQ(findSeqInQueue(q, 30u)->seq, 30u);
+    EXPECT_EQ(findSeqInQueue(q, 31u), nullptr);
+}
