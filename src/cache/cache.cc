@@ -105,6 +105,7 @@ Cache::access(Addr addr, bool write, Cycle now, bool is_prefetch)
     }
 
     ++missCount;
+    ++contentsVer;
     const Cycle below = nextLevel->access(addr, write, now, is_prefetch);
     Line &v = victim(line);
     v.valid = true;
@@ -123,6 +124,7 @@ Cache::prefetch(Addr addr, Cycle now)
         return;
     }
     ++prefetchCount;
+    ++contentsVer;
     const Cycle below = nextLevel->access(addr, false, now, true);
     ++useTick;
     Line &v = victim(line);
@@ -150,6 +152,7 @@ Cache::invalidateAll()
 {
     for (Line &l : lines)
         l = Line{};
+    ++contentsVer;
 }
 
 namespace {
@@ -204,6 +207,7 @@ Cache::loadState(Deserializer &d)
 {
     if (d.u64() != lines.size())
         throw ParseError("cache: geometry mismatch");
+    ++contentsVer;
     for (Line &l : lines) {
         l.tag = d.u64();
         l.valid = d.boolean();

@@ -126,6 +126,13 @@ class Cache : public MemoryLevel
     /** Invalidate the whole cache (used between benchmark runs). */
     void invalidateAll();
 
+    /**
+     * Host-only contents version: changes whenever the set of valid
+     * lines may have changed (a fill, invalidateAll, loadState), so
+     * present() answers are unchanged while it is. Not serialized.
+     */
+    std::uint64_t contentsVersion() const { return contentsVer; }
+
     const std::string &name() const override { return params.name; }
     const CacheParams &config() const { return params; }
 
@@ -187,6 +194,7 @@ class Cache : public MemoryLevel
     bool setMaskValid = false;
     std::vector<Line> lines; // numSets * assoc, set-major
     std::uint64_t useTick = 0;
+    std::uint64_t contentsVer = 0;
 
     stats::StatGroup statsGroup;
     stats::Counter &hitCount;

@@ -2,8 +2,6 @@
 
 #include "common/logging.hh"
 
-#include <cstdio>
-
 namespace elfsim {
 
 ElfController::ElfController(const ElfControllerParams &params,
@@ -92,14 +90,6 @@ ElfController::patchFromFaq(const FaqEntry &e, unsigned offset,
         p.taken = false;
         p.target = e.startPC + instsToBytes(offset + 1);
         p.fromBtbMiss = e.fromBtbMiss;
-#ifdef ELFSIM_TRACE_ADOPT
-        std::fprintf(stderr,
-                     "adopt-null: seq=%llu entry=0x%llx+%u miss=%d "
-                     "n=%u\n",
-                     (unsigned long long)seq,
-                     (unsigned long long)e.startPC, offset,
-                     int(e.fromBtbMiss), e.numInsts);
-#endif
     }
     patchList.push_back(p);
 }
@@ -142,7 +132,7 @@ ElfController::switchToDecoupled(Cycle now)
     }
 
     decoupledCount += consumed;
-    head.advance(consumed);
+    prefetchScan.advanceHead(faq, consumed);
     if (head.numInsts == 0)
         faq.pop();
 
@@ -151,7 +141,6 @@ ElfController::switchToDecoupled(Cycle now)
     decEng->redirect(now);
     draining = true;
     ++st.switches;
-    (void)now;
 }
 
 void
@@ -362,17 +351,27 @@ ElfController::prefetchTick(Cycle now, bool fetch_was_idle)
     if (prefetchInflight.size() >= params.maxInstPrefetch)
         return;
 
-    // Oldest-to-youngest scan of the FAQ for the first block whose
-    // line is not already in the L0I.
-    for (std::size_t i = 0; i < faq.size(); ++i) {
-        const FaqEntry &e = faq.at(i);
-        if (!mem.l0i().present(e.startPC)) {
-            mem.prefetchInst(e.startPC, now);
-            prefetchInflight.push(now + 8);
-            ++st.instPrefetches;
-            return;
-        }
+    // Prefetch the oldest queued block whose line is not in the L0I.
+    const std::size_t i = prefetchScan.firstAbsent(faq, mem.l0i());
+    if (i < faq.size()) {
+        mem.prefetchInst(faq.at(i).startPC, now);
+        prefetchInflight.push(now + 8);
+        ++st.instPrefetches;
     }
+}
+
+std::size_t
+FaqPrefetchScan::firstAbsent(const Faq &faq, const Cache &l0i)
+{
+    const std::uint64_t front = faq.frontId();
+    std::size_t i = l0i.contentsVersion() == scanVersion && scanEnd > front
+                        ? std::size_t(scanEnd - front)
+                        : 0;
+    while (i < faq.size() && l0i.present(faq.at(i).startPC))
+        ++i;
+    scanEnd = front + i;
+    scanVersion = l0i.contentsVersion();
+    return i;
 }
 
 } // namespace elfsim

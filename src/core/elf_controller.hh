@@ -89,6 +89,37 @@ struct ElfStats
     }
 };
 
+/**
+ * The FAQ-directed prefetch scan: finds the oldest queued block whose
+ * line is not in the L0I. Idle fetch cycles repeat it while neither
+ * the FAQ nor the L0I changes, so it remembers one fact: every entry
+ * with id (Faq::frontId() + index) below scanEnd had its line present
+ * at L0I contents version scanVersion. While the version is unchanged
+ * those lines are still present, and the scan resumes at scanEnd. A
+ * queued entry's startPC changes only in advanceHead(), which forgets
+ * the fact.
+ */
+class FaqPrefetchScan
+{
+  public:
+    /** Index of the first FAQ entry whose line is not present in
+     *  @a l0i; faq.size() when every line is. */
+    std::size_t firstAbsent(const Faq &faq, const Cache &l0i);
+
+    /** Drop the FAQ head's first @a n instructions (FaqEntry::advance)
+     *  and forget the memo. */
+    void
+    advanceHead(Faq &faq, unsigned n)
+    {
+        faq.front().advance(n);
+        scanEnd = 0;
+    }
+
+  private:
+    std::uint64_t scanEnd = 0;
+    std::uint64_t scanVersion = 0;
+};
+
 /** The front-end orchestrator. */
 class ElfController : public DecodeObserver
 {
@@ -213,6 +244,7 @@ class ElfController : public DecodeObserver
 
     /** In-flight FAQ-directed prefetch completion times. */
     BoundedQueue<Cycle> prefetchInflight;
+    FaqPrefetchScan prefetchScan;
 
     ElfStats st;
 };

@@ -112,15 +112,32 @@ class Faq
     std::size_t capacity() const { return q.capacity(); }
 
     void push(FaqEntry e) { q.push(std::move(e)); }
-    FaqEntry pop() { return q.pop(); }
+    FaqEntry
+    pop()
+    {
+        ++popped;
+        return q.pop();
+    }
     FaqEntry &front() { return q.front(); }
     const FaqEntry &front() const { return q.front(); }
     const FaqEntry &at(std::size_t i) const { return q.at(i); }
     FaqEntry &at(std::size_t i) { return q.at(i); }
-    void clear() { q.clear(); }
+    void
+    clear()
+    {
+        popped += q.size();
+        q.clear();
+    }
+
+    /**
+     * Entries ever removed (popped or cleared). The entry at(i) keeps
+     * the id frontId() + i for as long as it is queued.
+     */
+    std::uint64_t frontId() const { return popped; }
 
   private:
     BoundedQueue<FaqEntry> q;
+    std::uint64_t popped = 0;
 };
 
 } // namespace elfsim

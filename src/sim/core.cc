@@ -111,14 +111,6 @@ Core::applyPatches(Redirect &redirect, Cycle now)
         DynInst *di = findAnywhere(p.seq);
         if (!di)
             continue; // squashed meanwhile
-#ifdef ELFSIM_TRACE_SEQ
-        if (p.seq >= ELFSIM_TRACE_SEQ && p.seq <= ELFSIM_TRACE_SEQ + 200)
-            std::fprintf(stderr, "[%llu] patch seq=%llu taken=%d "
-                         "completed=%d\n",
-                         (unsigned long long)now,
-                         (unsigned long long)p.seq, int(p.taken),
-                         int(di->completed));
-#endif
         di->hasPrediction = true;
         di->predTaken = p.taken;
         di->predTarget = p.target;

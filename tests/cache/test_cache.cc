@@ -136,3 +136,54 @@ TEST(Cache, ChainedLevelsAccumulateLatency)
     l1.invalidateAll();
     EXPECT_EQ(l1.access(0x9000, false, 400), 16u); // 13 + 3
 }
+
+TEST(Cache, ContentsVersionCountsFillsAndReloads)
+{
+    FixedLatencyMemory mem("mem", 100);
+    Cache c(smallCache("c"), &mem);
+    std::uint64_t v = c.contentsVersion();
+
+    c.access(0x1000, false, 0); // miss fill, ready at 101
+    EXPECT_EQ(c.contentsVersion(), ++v);
+    c.prefetch(0x2000, 0);      // prefetch fill
+    EXPECT_EQ(c.contentsVersion(), ++v);
+
+    // Lookups and hits leave the set of valid lines alone.
+    c.access(0x1000, false, 50);  // in-flight hit
+    c.access(0x1000, false, 200); // ready hit
+    EXPECT_TRUE(c.probe(0x1000, 200));
+    EXPECT_TRUE(c.present(0x2000));
+    c.prefetch(0x1000, 200);      // dropped: already present
+    EXPECT_EQ(c.contentsVersion(), v);
+
+    Serializer s;
+    c.saveState(s);
+    c.invalidateAll();
+    EXPECT_EQ(c.contentsVersion(), ++v);
+    Deserializer d(s.data());
+    c.loadState(d);
+    EXPECT_EQ(c.contentsVersion(), ++v);
+    EXPECT_TRUE(c.present(0x1000));
+}
+
+TEST(Cache, SaveStateBytesIgnoreContentsVersion)
+{
+    FixedLatencyMemory mem("mem", 100);
+    Cache a(smallCache("a"), &mem);
+    a.access(0x1000, false, 0);
+    a.prefetch(0x3000, 10);
+    Serializer sa;
+    a.saveState(sa);
+
+    // Same contents, reached through a longer version history.
+    Cache b(smallCache("a"), &mem);
+    b.access(0x5000, false, 0);
+    b.invalidateAll();
+    Deserializer d(sa.data());
+    b.loadState(d);
+    EXPECT_NE(a.contentsVersion(), b.contentsVersion());
+
+    Serializer sb;
+    b.saveState(sb);
+    EXPECT_EQ(sa.data(), sb.data());
+}

@@ -85,3 +85,34 @@ TEST(Faq, AdvanceZeroIsNoop)
     EXPECT_EQ(e.startPC, 0x1000u);
     EXPECT_EQ(e.numInsts, 12);
 }
+
+TEST(Faq, FrontIdCountsEveryRemovedEntry)
+{
+    Faq q(4);
+    EXPECT_EQ(q.frontId(), 0u);
+    q.push(makeEntry(0x1000, 4));
+    q.push(makeEntry(0x2000, 4));
+    q.push(makeEntry(0x3000, 4));
+    // The entry at 0x3000 is id 2 while it is queued.
+    EXPECT_EQ(q.at(2).startPC, 0x3000u);
+    EXPECT_EQ(q.frontId() + 2, 2u);
+
+    q.pop();
+    EXPECT_EQ(q.frontId(), 1u);
+    EXPECT_EQ(q.at(1).startPC, 0x3000u);
+    EXPECT_EQ(q.frontId() + 1, 2u);
+
+    q.push(makeEntry(0x4000, 4)); // pushes do not move the front
+    EXPECT_EQ(q.frontId(), 1u);
+    EXPECT_EQ(q.at(1).startPC, 0x3000u);
+    EXPECT_EQ(q.frontId() + 1, 2u);
+
+    q.clear(); // three entries leave at once
+    EXPECT_EQ(q.frontId(), 4u);
+    q.push(makeEntry(0x5000, 4)); // a fresh id: 4
+    EXPECT_EQ(q.frontId(), 4u);
+    q.pop();
+    EXPECT_EQ(q.frontId(), 5u);
+    q.clear(); // clearing an empty queue removes nothing
+    EXPECT_EQ(q.frontId(), 5u);
+}
