@@ -351,26 +351,6 @@ parseOptions(int argc, char **argv, Options defaults = {},
     return o;
 }
 
-/**
- * Arm a runner with the fault-tolerance policy the flags asked for
- * and install the SIGINT/SIGTERM handlers, so a Ctrl-C mid-sweep
- * degrades to cancelled cells and a partial export instead of losing
- * everything.
- */
-inline void
-applyFaultPolicy(SweepRunner &runner, const Options &o)
-{
-    SweepPolicy p;
-    p.deadlineSeconds = o.deadlineSeconds;
-    p.stallSeconds = o.stallSeconds;
-    p.maxRetries = o.maxRetries;
-    p.manifestPath = o.manifestPath;
-    p.resume = o.resume;
-    runner.setPolicy(p);
-    SweepRunner::clearInterrupt();
-    SweepRunner::installSignalHandlers();
-}
-
 /** The SweepPolicy the fault-tolerance flags describe. */
 inline SweepPolicy
 policyFromOptions(const Options &o)

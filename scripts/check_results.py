@@ -345,6 +345,9 @@ def check_spec_document(path, doc):
             if (not isinstance(v, want) or
                     (want is int and isinstance(v, bool))):
                 fail(path, f"policy.{k} has the wrong type")
+        if policy.get("keep_going", True) is not True:
+            fail(path, "policy.keep_going must be true (strict sweep "
+                       "mode was removed)")
 
     groups = doc.get("groups")
     if groups is not None and ("workloads" in doc or

@@ -48,8 +48,9 @@ class ThreadPool
      * Block until every submitted task has finished. If any task
      * threw, the first captured exception is rethrown here (a
      * backstop — the sweep engine catches per-job errors itself, so
-     * an exception reaching the pool means a bug or a strict-mode
-     * sweep); the remaining tasks still run to completion first.
+     * an exception reaching the pool means a bug, e.g. a throwing
+     * cell observer); the remaining tasks still run to completion
+     * first.
      */
     void wait();
 

@@ -16,6 +16,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 #include "common/export.hh"
 #include "common/fault.hh"
@@ -51,18 +52,6 @@ abandonedResult(const SweepJob &job, const std::string &what,
     r.error = what;
     r.attempts = attempts ? attempts : 1;
     return r;
-}
-
-std::string
-hex16(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[std::size_t(i)] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return out;
 }
 
 /** Checkpoint files above this stay home: the worker's request-body
@@ -167,7 +156,7 @@ struct SweepCoordinator::Fleet
      *  re-admission can re-ship without recompiling). */
     struct TraceArtifact
     {
-        std::string key;  ///< x-elfsim-key content hash (hex16)
+        std::string key;  ///< x-elfsim-key content hash (hexKey)
         std::string name; ///< display name
         std::vector<char> image;
     };
@@ -239,11 +228,8 @@ SweepCoordinator::shipArtifacts(Fleet &fleet)
         const SweepJob &job = fleet.ex.jobs[i];
         if (!job.program)
             continue;
-        InstCount count = job.opts.warmupInsts + job.opts.measureInsts;
-        if (job.opts.sampled()) {
-            anySampled = true;
-            count = std::min(count, maxSampledTraceInsts);
-        }
+        const InstCount count = traceBudget(job.opts);
+        anySampled = anySampled || job.opts.sampled();
         want[CompiledTrace::key(*job.program, count)] = {job.program,
                                                          count};
     }
@@ -255,7 +241,7 @@ SweepCoordinator::shipArtifacts(Fleet &fleet)
             if (!trace)
                 continue;
             fleet.traceArts.push_back(Fleet::TraceArtifact{
-                hex16(trace->cacheKey()), pc.first->name(),
+                hexKey(trace->cacheKey()), pc.first->name(),
                 trace->serialized()});
         }
     }
@@ -787,13 +773,12 @@ SweepCoordinator::runFallback(Fleet &fleet,
     }
 
     // The same subset-run path a worker would use, with the same
-    // policy shape (journaling stripped, keep-going forced): global
-    // indices, seeds and RunResult bytes match a --local run exactly.
+    // policy shape (journaling stripped): global indices, seeds and
+    // RunResult bytes match a --local run exactly.
     SweepRunner runner(fleet.spec->jobs);
     SweepPolicy pol = fleet.spec->policy;
     pol.manifestPath.clear();
     pol.resume = false;
-    pol.keepGoing = true;
     runner.setPolicy(std::move(pol));
     runner.setBaseSeed(fleet.spec->baseSeed);
     runner.setCellObserver([&](std::size_t i, const RunResult &r) {

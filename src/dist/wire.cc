@@ -10,6 +10,7 @@
 #include "common/export.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
+#include "service/http.hh"
 
 namespace elfsim {
 namespace dist {
@@ -169,8 +170,14 @@ bool
 ShardStream::nextLine(std::string &line)
 {
     for (;;) {
-        const std::size_t nl = out.find('\n');
-        if (nl != std::string::npos) {
+        // Resume the newline search where the last one stopped: a
+        // long line arrives over many refills.
+        const std::size_t nl = out.find('\n', outScanned);
+        if (nl == std::string::npos) {
+            outScanned = out.size();
+            if (out.size() > service::kMaxBodyBytes)
+                return fail("shard line exceeds the body cap");
+        } else {
             // A complete line is a "droppable event" for the netdrop
             // / nethb sites: the Nth delivered line is torn away with
             // the rest of the stream, exercising the same recovery as
@@ -192,6 +199,7 @@ ShardStream::nextLine(std::string &line)
             }
             line = out.substr(0, nl);
             out.erase(0, nl + 1);
+            outScanned = 0;
             return true;
         }
         if (final_ || bad)
@@ -227,23 +235,22 @@ ShardStream::nextLine(std::string &line)
         // At a chunk-size line ("<hex>\r\n").
         const std::size_t eol = raw.find("\r\n", rawPos);
         if (eol == std::string::npos) {
-            if (raw.size() - rawPos > 64)
+            if (raw.size() - rawPos > service::kMaxChunkSizeLine)
                 return fail("malformed chunk-size line");
             if (!fill())
                 return false;
             continue;
         }
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(raw.c_str() + rawPos, &end, 16);
-        if (end == raw.c_str() + rawPos)
+        std::size_t n = 0;
+        if (!service::parseChunkSize(
+                std::string_view(raw).substr(rawPos, eol - rawPos), n))
             return fail("malformed chunk size");
         rawPos = eol + 2;
         if (n == 0) {
             final_ = true; // terminator; trailers are ignored
             continue;
         }
-        chunkLeft = std::size_t(n);
+        chunkLeft = n;
     }
 }
 

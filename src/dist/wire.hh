@@ -142,6 +142,7 @@ class ShardStream
     std::string raw;          ///< undecoded socket bytes
     std::size_t rawPos = 0;
     std::string out;          ///< de-chunked bytes pending '\n'
+    std::size_t outScanned = 0; ///< prefix of out known '\n'-free
     std::size_t chunkLeft = 0;
     unsigned skipCrlf = 0;    ///< chunk-trailer bytes still to skip
     bool final_ = false;      ///< terminal zero-chunk seen

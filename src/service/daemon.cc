@@ -11,10 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 #include "common/export.hh"
 #include "common/logging.hh"
@@ -32,37 +29,6 @@ namespace {
 /** A handler blocked on a silent client must not wedge the daemon
  *  forever: requests that take longer than this to arrive fail. */
 constexpr long kRequestTimeoutSec = 10;
-
-/** Parse the x-elfsim-key artifact header (16 hex digits). */
-bool
-parseHexKey(const std::string &text, std::uint64_t &key)
-{
-    if (text.empty() || text.size() > 16)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    key = std::strtoull(text.c_str(), &end, 16);
-    return errno == 0 && end == text.c_str() + text.size();
-}
-
-/** Artifact file names come off the wire: flatten anything that could
- *  escape the target directory or upset a shell. */
-std::string
-safeArtifactName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' ||
-                        c == '_' || c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    while (!out.empty() && out.front() == '.')
-        out.erase(out.begin()); // no dotfiles, no ".." prefixes
-    return out;
-}
 
 /** Has the peer torn the connection down? Only a hard error counts:
  *  an orderly FIN (recv == 0) is indistinguishable from the common
@@ -225,8 +191,15 @@ SweepService::handleConnection(int fd)
             ::close(fd);
             return;
         }
+        // The request's own policy applies, minus journaling:
+        // manifests and resume are CLI-side concerns, and a remote
+        // spec must not be able to scribble files onto the server (for
+        // /shard the stream itself is the coordinator's journal).
+        p.spec.policy.manifestPath.clear();
+        p.spec.policy.resume = false;
         p.fd = fd;
         p.cancel = std::make_shared<std::atomic<bool>>(false);
+        p.spec.policy.cancelFlag = p.cancel;
         {
             std::lock_guard<std::mutex> lk(queueMtx);
             if (stopping.load(std::memory_order_acquire)) {
@@ -311,24 +284,12 @@ SweepService::handleArtifact(int fd, const HttpRequest &req)
     const auto nameIt = req.headers.find("x-elfsim-name");
     if (nameIt == req.headers.end())
         return reject("missing x-elfsim-name header");
-    const std::string name = safeArtifactName(nameIt->second);
+    const std::string name = sanitizedName(nameIt->second);
     if (name.empty())
         return reject("empty artifact name");
-    const std::string path = dir + "/" + name;
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        os.write(req.body.data(),
-                 std::streamsize(req.body.size()));
-        if (!os) {
-            std::remove(tmp.c_str());
-            return reject(errorf("cannot write '%s'", tmp.c_str()));
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return reject(errorf("cannot rename '%s'", tmp.c_str()));
-    }
+    std::string err;
+    if (!writeFileAtomic(dir + "/" + name, {req.body}, err))
+        return reject(err);
     artifacts.fetch_add(1, std::memory_order_relaxed);
     writeHttpResponse(fd, 200, "OK", "text/plain", "installed\n");
     ::close(fd);
@@ -388,18 +349,7 @@ SweepService::executeSweep(Pending req)
         return;
     }
 
-    // The request's own policy applies, minus journaling: manifests
-    // and resume are CLI-side concerns, and a remote spec must not be
-    // able to scribble files onto the server. keep_going is forced:
-    // strict mode lets a failing cell's exception escape run() and
-    // skips the watchdog monitor that observes cancelFlag, so one
-    // legal request could kill the daemon and defeat cancellation.
-    SweepPolicy pol = req.spec.policy;
-    pol.manifestPath.clear();
-    pol.resume = false;
-    pol.keepGoing = true;
-    pol.cancelFlag = req.cancel;
-    runner.setPolicy(std::move(pol));
+    runner.setPolicy(req.spec.policy);
     runner.setBaseSeed(req.spec.baseSeed);
 
     ChunkedResponse stream(req.fd);
@@ -529,15 +479,7 @@ SweepService::executeShard(Pending req)
         return;
     }
 
-    // Same forced policy as /sweep: journaling is the coordinator's
-    // job (the shard stream IS the journal), keep_going protects the
-    // executor thread.
-    SweepPolicy pol = req.spec.policy;
-    pol.manifestPath.clear();
-    pol.resume = false;
-    pol.keepGoing = true;
-    pol.cancelFlag = req.cancel;
-    runner.setPolicy(std::move(pol));
+    runner.setPolicy(req.spec.policy);
     runner.setBaseSeed(req.spec.baseSeed);
 
     ChunkedResponse stream(req.fd);

@@ -47,9 +47,9 @@
  *
  * Fault handling per request: the spec's own SweepPolicy applies
  * (deadline/stall/retries), except journaling — manifest_path/resume
- * are CLI-side concerns and are ignored here — and keep_going, which
- * is forced on: strict mode would let one failing cell's exception
- * escape the executor thread and kill the daemon. A client disconnect
+ * are CLI-side concerns, cleared when the request is parsed. A spec
+ * asking for the removed strict mode (keep_going = false) fails
+ * validation with 400, like any other invalid spec. A client disconnect
  * (detected before the run, or by a failed chunk write during it)
  * raises the request's private SweepPolicy::cancelFlag: in-flight
  * cells cancel cooperatively, queued cells degrade to cancelled, and

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 
 namespace elfsim {
@@ -21,7 +22,6 @@ namespace service {
 namespace {
 
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
-constexpr std::size_t kMaxBodyBytes = 16 * 1024 * 1024;
 
 std::string
 lowered(std::string s)
@@ -145,20 +145,22 @@ readChunked(int fd, std::string raw, std::string &out)
         // Ensure one full "size CRLF" line is buffered.
         std::size_t eol;
         while ((eol = raw.find("\r\n", pos)) == std::string::npos) {
+            if (raw.size() - pos > kMaxChunkSizeLine)
+                return false;
             const ssize_t r = readSome(fd, tmp, sizeof tmp);
             if (r <= 0)
                 return false;
             raw.append(tmp, std::size_t(r));
         }
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(raw.c_str() + pos, &end, 16);
-        if (end == raw.c_str() + pos)
+        std::size_t n = 0;
+        if (!parseChunkSize(std::string_view(raw).substr(pos, eol - pos),
+                            n))
             return false;
         pos = eol + 2;
         if (n == 0)
             return true; // ignore trailers
-        if (out.size() + n > kMaxBodyBytes)
+        // out.size() never exceeds the cap, so this cannot wrap.
+        if (n > kMaxBodyBytes - out.size())
             return false;
         while (raw.size() - pos < n + 2) {
             const ssize_t r = readSome(fd, tmp, sizeof tmp);
@@ -172,6 +174,16 @@ readChunked(int fd, std::string raw, std::string &out)
 }
 
 } // namespace
+
+bool
+parseChunkSize(std::string_view line, std::size_t &n)
+{
+    std::uint64_t v = 0;
+    if (!parseHexKey(line, v) || v > kMaxBodyBytes)
+        return false;
+    n = std::size_t(v);
+    return true;
+}
 
 int
 listenTcp(const std::string &host, std::uint16_t port)

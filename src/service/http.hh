@@ -20,6 +20,7 @@
 #ifndef ELFSIM_SERVICE_HTTP_HH
 #define ELFSIM_SERVICE_HTTP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -27,6 +28,22 @@
 
 namespace elfsim {
 namespace service {
+
+/** Largest request body, response body or shard-stream line any
+ *  reader here buffers (16 MiB). */
+constexpr std::size_t kMaxBodyBytes = 16 * 1024 * 1024;
+
+/** Longest chunk-size line a de-chunker buffers before giving up. */
+constexpr std::size_t kMaxChunkSizeLine = 64;
+
+/**
+ * Parse one chunk-size line of a chunked body (without its CRLF):
+ * hex digits only — no sign, whitespace or chunk extension — and at
+ * most kMaxBodyBytes. Every de-chunker uses it (readHttpResponse and
+ * dist::ShardStream), so a hostile size can neither wrap a length
+ * check nor ask for an unbounded buffer.
+ */
+bool parseChunkSize(std::string_view line, std::size_t &n);
 
 /** One parsed request (headers lower-cased). */
 struct HttpRequest

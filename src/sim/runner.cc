@@ -227,9 +227,7 @@ runSampled(const Program &prog, const SimConfig &cfg,
     // and null when trace compilation is disabled.
     std::shared_ptr<const CompiledTrace> trace = opts.trace;
     if (!trace)
-        trace = TraceCache::instance().acquire(
-            prog, std::min(opts.warmupInsts + opts.measureInsts,
-                           maxSampledTraceInsts));
+        trace = TraceCache::instance().acquire(prog, traceBudget(opts));
 
     // Two attempts: the second only runs if a checkpoint passed every
     // artifact-level check yet its payload failed mid-restore (layout
@@ -457,8 +455,7 @@ runSimulation(const Program &prog, const SimConfig &cfg,
     // stream-identical by construction.
     std::shared_ptr<const CompiledTrace> trace = opts.trace;
     if (!trace)
-        trace = TraceCache::instance().acquire(
-            prog, opts.warmupInsts + opts.measureInsts);
+        trace = TraceCache::instance().acquire(prog, traceBudget(opts));
     Core core(cfg, prog, std::move(trace));
 
     // Warmup: predictors, BTB, and caches train; stats that matter

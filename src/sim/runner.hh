@@ -8,6 +8,7 @@
 #ifndef ELFSIM_SIM_RUNNER_HH
 #define ELFSIM_SIM_RUNNER_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -329,6 +330,19 @@ struct RunOptions
  * Core::fastForward).
  */
 constexpr InstCount maxSampledTraceInsts = InstCount(1) << 26;
+
+/**
+ * Instructions of compiled trace a run of @a o acquires: warmup +
+ * measure, capped at maxSampledTraceInsts for sampled runs. The sweep
+ * engine, runSimulation and the coordinator's artifact staging all
+ * ask for this budget, so they share one trace per workload.
+ */
+inline InstCount
+traceBudget(const RunOptions &o)
+{
+    const InstCount total = o.warmupInsts + o.measureInsts;
+    return o.sampled() ? std::min(total, maxSampledTraceInsts) : total;
+}
 
 /**
  * Point-in-time capture of the core counters that runSimulation

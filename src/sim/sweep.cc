@@ -93,6 +93,15 @@ makeVariantJob(const Program &prog, FrontendVariant variant,
     return j;
 }
 
+void
+rejectStrictMode(const SweepPolicy &p)
+{
+    if (!p.keepGoing)
+        throw ConfigError("policy.keep_going = false: strict sweep mode "
+                          "was removed; every sweep keeps going and "
+                          "records failed cells");
+}
+
 unsigned
 SweepRunner::resolveJobs(unsigned requested)
 {
@@ -186,6 +195,7 @@ std::vector<RunResult>
 SweepRunner::runSubset(const std::vector<SweepJob> &grid,
                        const std::vector<std::size_t> *only)
 {
+    rejectStrictMode(pol);
     std::vector<RunResult> results(grid.size());
     jobSeconds.assign(grid.size(), 0.0);
 
@@ -287,47 +297,18 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     for (std::size_t i = 0; i < grid.size(); ++i) {
         if (done[i] || !grid[i].program)
             continue;
-        // Sampled cells compile a capped prefix: the batch warming
-        // kernel fast-forwards over the compiled SoA, so the prefix
-        // that covers warmup+measure (bounded by maxSampledTraceInsts
-        // to keep the artifact finite) pays for itself many times
-        // over. Past the cap, fast-forward compiles transient chunks.
-        const InstCount want =
-            grid[i].opts.sampled()
-                ? std::min(grid[i].opts.warmupInsts +
-                               grid[i].opts.measureInsts,
-                           maxSampledTraceInsts)
-                : grid[i].opts.warmupInsts + grid[i].opts.measureInsts;
+        // Sampled cells compile a capped prefix (traceBudget); past
+        // the cap, fast-forward compiles transient chunks.
         traces[i] = grid[i].opts.trace
                         ? grid[i].opts.trace
                         : TraceCache::instance().acquire(
-                              *grid[i].program, want);
+                              *grid[i].program, traceBudget(grid[i].opts));
     }
 
     const auto sweepStart = std::chrono::steady_clock::now();
 
     auto runOne = [&](std::size_t i) {
         JobWatch &watch = watches[i];
-
-        if (!pol.keepGoing) {
-            // Legacy strict mode: errors escape, panics abort. The
-            // exec context still goes up (control-less) so injected
-            // faults fire here too.
-            SweepJob job = grid[i];
-            job.opts.trace = traces[i];
-            if (baseSeed)
-                job.cfg.rngSeed = mix64(baseSeed, i + 1);
-            ExecContext ctx;
-            ctx.jobIndex = i;
-            ScopedExecContext scope(ctx);
-            const auto jobStart = std::chrono::steady_clock::now();
-            results[i] = runSimulation(*job.program, job.cfg, job.opts);
-            jobSeconds[i] += secondsSince(jobStart);
-            watch.phase.store(2, std::memory_order_release);
-            journal(i);
-            notify(i);
-            return;
-        }
 
         if (interruptRequested() || pol.cancelRequested()) {
             results[i] = degradedResult(
@@ -392,10 +373,9 @@ SweepRunner::runSubset(const std::vector<SweepJob> &grid,
     // atomic flag; all clock arithmetic lives here.
     std::atomic<bool> stopMonitor{false};
     std::thread monitor;
-    const bool needMonitor =
-        pol.keepGoing && (pol.watchdogEnabled() ||
-                          handlersInstalled.load() ||
-                          pol.cancelFlag != nullptr);
+    const bool needMonitor = pol.watchdogEnabled() ||
+                             handlersInstalled.load() ||
+                             pol.cancelFlag != nullptr;
     if (needMonitor) {
         monitor = std::thread([&] {
             while (!stopMonitor.load(std::memory_order_acquire)) {

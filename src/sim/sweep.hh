@@ -17,10 +17,9 @@
  * submission index — never from thread identity — so the results of a
  * grid do not depend on the number of worker threads.
  *
- * Fault tolerance: under the default SweepPolicy a job that panics,
- * throws, hangs or overruns its deadline degrades to a failed cell
- * (RunResult::status != Ok, metrics zeroed, error recorded) and the
- * rest of the grid completes. Transient errors retry up to
+ * Fault tolerance: a job that panics, throws, hangs or overruns its
+ * deadline degrades to a failed cell (RunResult::status != Ok, metrics
+ * zeroed, error recorded) and the rest of the grid completes. Transient errors retry up to
  * SweepPolicy::maxRetries extra attempts. A JSONL manifest journals
  * each finished cell as it completes, so a killed sweep resumes with
  * `resume = true` re-running only the unfinished cells — merged
@@ -95,12 +94,10 @@ struct SweepTiming
 /** Fault-tolerance policy of a sweep. */
 struct SweepPolicy
 {
-    /**
-     * Catch per-job errors (including recoverable panics) and mark
-     * the cell failed instead of aborting the sweep. When false, the
-     * legacy strict behavior: the first error escapes run() — or
-     * aborts the process for a panic.
-     */
+    /** Must be true; kept for schema compatibility (the spec key
+     *  `keep_going`). Every sweep catches per-job errors, including
+     *  recoverable panics, and marks the cell failed; false is
+     *  rejected by rejectStrictMode(). */
     bool keepGoing = true;
 
     /** Per-job wall-clock limit in seconds; 0 disables. An overrun
@@ -149,6 +146,11 @@ struct SweepPolicy
     }
 };
 
+/** Throw ConfigError when @a p asks for the removed strict mode
+ *  (keepGoing = false). validateSweepSpec and SweepRunner::run both
+ *  call it. */
+void rejectStrictMode(const SweepPolicy &p);
+
 /** Thread-pooled grid runner with deterministic result merging. */
 class SweepRunner
 {
@@ -165,8 +167,8 @@ class SweepRunner
      */
     void setBaseSeed(std::uint64_t seed) { baseSeed = seed; }
 
-    /** Replace the fault-tolerance policy (defaults: keep going, no
-     *  watchdog, no retries, no manifest). */
+    /** Replace the fault-tolerance policy (defaults: no watchdog, no
+     *  retries, no manifest). */
     void setPolicy(SweepPolicy p) { pol = std::move(p); }
 
     const SweepPolicy &policy() const { return pol; }
@@ -190,7 +192,8 @@ class SweepRunner
     /**
      * Run every job and return results indexed by submission order.
      * With 1 thread (or a 1-job grid) the jobs run inline on the
-     * calling thread — the serial reference path.
+     * calling thread — the serial reference path. Throws ConfigError
+     * when the policy asks for strict mode (rejectStrictMode).
      *
      * Before the per-job timers start, each distinct (program
      * content, instruction budget) pair in the grid has its compiled

@@ -415,6 +415,7 @@ checkSelector(const WorkloadSelector &s)
 void
 validateSweepSpec(const SweepSpec &spec)
 {
+    rejectStrictMode(spec.policy);
     if (spec.groups.empty())
         throw ConfigError("spec has no groups (nothing to sweep)");
     checkRunOptions(spec.run, "run");

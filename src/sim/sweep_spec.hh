@@ -282,7 +282,8 @@ void applySimKnob(SimConfig &cfg, const std::string &key,
                   const SpecValue &v);
 
 /** Semantic validation (sampling schedule contradictions, empty
- *  groups, unknown workloads); throws ConfigError. */
+ *  groups, unknown workloads, the removed strict mode); throws
+ *  ConfigError. */
 void validateSweepSpec(const SweepSpec &spec);
 
 /**

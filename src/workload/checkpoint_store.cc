@@ -6,8 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-#include <thread>
 
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/hash.hh"
@@ -34,34 +34,6 @@ contentChecksum(std::uint64_t key, std::uint64_t position,
     h.u64(key).u64(position).u64(payload_len);
     h.bytes(payload, std::size_t(payload_len));
     return h.value();
-}
-
-/** Keep artifact file names shell- and filesystem-friendly. */
-std::string
-sanitizedName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                        c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    return out.empty() ? std::string("ckpt") : out;
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[std::size_t(i)] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return out;
 }
 
 } // namespace
@@ -108,7 +80,7 @@ std::string
 CheckpointStore::pathForKey(const std::string &name,
                             std::uint64_t key) const
 {
-    return dir + "/" + sanitizedName(name) + "-" + hexKey(key) +
+    return dir + "/" + sanitizedName(name, "ckpt") + "-" + hexKey(key) +
            ".eckpt";
 }
 
@@ -214,40 +186,21 @@ CheckpointStore::save(const std::string &name, std::uint64_t key,
         path = pathForKey(name, key);
     }
 
-    // Write to a private temp file and rename into place: readers of
-    // a shared cache directory only ever see complete files.
-    const std::string tmp =
-        path + ".tmp." +
-        std::to_string(std::uint64_t(
-            std::hash<std::thread::id>{}(std::this_thread::get_id())));
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            ELFSIM_WARN("checkpoint store: cannot open '%s' for "
-                        "writing (artifact not saved)", tmp.c_str());
-            return;
-        }
-        const std::uint64_t scalars[4] = {
-            key, position, payload.size(),
-            contentChecksum(key, position, payload.size(),
-                            payload.data())};
-        os.write(ckptMagic, sizeof(ckptMagic));
-        os.write(reinterpret_cast<const char *>(scalars),
-                 sizeof(scalars));
-        if (!payload.empty())
-            os.write(reinterpret_cast<const char *>(payload.data()),
-                     std::streamsize(payload.size()));
-        if (!os) {
-            ELFSIM_WARN("checkpoint store: write to '%s' failed "
-                        "(artifact not saved)", tmp.c_str());
-            std::remove(tmp.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        ELFSIM_WARN("checkpoint store: cannot rename '%s' into '%s' "
-                    "(artifact not saved)", tmp.c_str(), path.c_str());
+    const std::uint64_t scalars[4] = {
+        key, position, payload.size(),
+        contentChecksum(key, position, payload.size(), payload.data())};
+    std::string err;
+    if (!writeFileAtomic(
+            path,
+            {std::string_view(ckptMagic, sizeof(ckptMagic)),
+             std::string_view(reinterpret_cast<const char *>(scalars),
+                              sizeof(scalars)),
+             std::string_view(
+                 reinterpret_cast<const char *>(payload.data()),
+                 payload.size())},
+            err)) {
+        ELFSIM_WARN("checkpoint store: %s (artifact not saved)",
+                    err.c_str());
         return;
     }
 

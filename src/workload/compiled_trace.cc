@@ -1,10 +1,10 @@
 #include "workload/compiled_trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -373,30 +373,10 @@ CompiledTrace::save(const std::string &path) const
 {
     const std::vector<char> image = serialized();
 
-    // Write to a private temp file and rename into place: readers of
-    // a shared cache directory only ever see complete files.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(
-#ifdef ELFSIM_HAVE_MMAP
-                              std::uint64_t(::getpid())
-#else
-                              std::uint64_t(0)
-#endif
-        );
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw IoError(errorf("cannot open '%s' for writing",
-                                 tmp.c_str()));
-        os.write(image.data(), std::streamsize(image.size()));
-        if (!os)
-            throw IoError(errorf("write to '%s' failed", tmp.c_str()));
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw IoError(errorf("cannot rename '%s' into '%s'",
-                             tmp.c_str(), path.c_str()));
-    }
+    std::string err;
+    if (!writeFileAtomic(path, {std::string_view(image.data(), image.size())},
+                         err))
+        throw IoError(err);
 }
 
 std::shared_ptr<const CompiledTrace>

@@ -5,43 +5,12 @@
 #include <filesystem>
 #include <system_error>
 
+#include "common/artifact_file.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 
 namespace elfsim {
-
-namespace {
-
-/** Keep cache file names shell- and filesystem-friendly. */
-std::string
-sanitizedName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                        c == '.';
-        out.push_back(ok ? c : '_');
-    }
-    return out.empty() ? std::string("trace") : out;
-}
-
-std::string
-hexKey(std::uint64_t key)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[std::size_t(i)] = digits[key & 0xf];
-        key >>= 4;
-    }
-    return out;
-}
-
-} // namespace
 
 TraceCache::TraceCache()
 {
@@ -61,7 +30,7 @@ TraceCache::instance()
 std::string
 TraceCache::pathForKey(const std::string &name, std::uint64_t key) const
 {
-    return dir + "/" + sanitizedName(name) + "-" + hexKey(key) +
+    return dir + "/" + sanitizedName(name, "trace") + "-" + hexKey(key) +
            ".etrace";
 }
 

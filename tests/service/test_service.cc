@@ -3,8 +3,9 @@
  * elfsimd sweep-service tests: request/stream framing, byte identity
  * of streamed results against an in-process SweepRunner, concurrent
  * clients sharing the warm trace cache, thread-count independence,
- * malformed-request rejection, client-disconnect survival, and fault
- * injection flowing through the daemon's keep-going policy.
+ * malformed-request rejection (strict-mode specs included),
+ * client-disconnect survival, and fault injection degrading one
+ * cell of a streamed sweep.
  *
  * Every test binds an ephemeral loopback port (ServiceConfig.port=0),
  * so tests never collide with each other or a real daemon.
@@ -25,6 +26,7 @@
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
+#include "dist/wire.hh"
 #include "service/daemon.hh"
 #include "service/http.hh"
 #include "sim/export.hh"
@@ -294,12 +296,11 @@ TEST(Service, StatsExposeQueueDepthThroughputAndFleetCounters)
 
 TEST(Service, InjectedFaultFlowsThroughKeepGoingPolicy)
 {
-    // Job 0 of every sweep throws; the spec's keep-going policy turns
-    // that into one failed cell in an otherwise complete stream.
+    // Job 0 of every sweep throws; the sweep degrades that into one
+    // failed cell in an otherwise complete stream.
     ArmedFaults armed("throw:0:0");
 
-    SweepSpec spec = tinySpec();
-    spec.policy.keepGoing = true;
+    const SweepSpec spec = tinySpec();
 
     SweepService svc;
     svc.start();
@@ -317,31 +318,35 @@ TEST(Service, InjectedFaultFlowsThroughKeepGoingPolicy)
     svc.stop();
 }
 
-TEST(Service, StrictPolicyCannotKillTheDaemon)
+TEST(Service, StrictPolicyIsRejectedAndTheDaemonLivesOn)
 {
-    // A request is free to ask for keep_going=false, but the daemon
-    // must force keep-going: in strict mode the failing cell's
-    // exception would escape the executor thread and terminate the
-    // process (and cancellation would never be observed).
-    ArmedFaults armed("throw:0:0");
-
+    // Strict mode was removed: keep_going=false is an invalid spec,
+    // answered 400 on /sweep and /shard before anything is queued,
+    // and the daemon keeps serving.
     SweepSpec spec = tinySpec();
     spec.policy.keepGoing = false;
 
-    SweepService svc;
+    ServiceConfig cfg;
+    cfg.worker = true;
+    SweepService svc(cfg);
     svc.start();
-    const HttpResponse r = service::httpFetch(
+    const HttpResponse sweep = service::httpFetch(
         "127.0.0.1", svc.port(), "POST", "/sweep", specBody(spec));
-    EXPECT_EQ(r.status, 200);
-
-    const json::Value doc = json::parse(r.body);
-    ASSERT_EQ(doc.at("results").size(), 4u);
-    EXPECT_EQ(doc.at("results")[0].at("status").asString(),
-              jobStatusName(JobStatus::Failed));
+    EXPECT_EQ(sweep.status, 400);
+    EXPECT_NE(sweep.body.find("strict"), std::string::npos)
+        << sweep.body;
+    const HttpResponse shard = service::httpFetch(
+        "127.0.0.1", svc.port(), "POST", "/shard",
+        dist::writeShardRequest(spec, {0, 1}));
+    EXPECT_EQ(shard.status, 400);
+    EXPECT_NE(shard.body.find("strict"), std::string::npos)
+        << shard.body;
 
     const HttpResponse hz = service::httpFetch(
         "127.0.0.1", svc.port(), "GET", "/healthz", {});
     EXPECT_EQ(hz.status, 200);
+    EXPECT_EQ(svc.counters().badRequests, 2u);
+    EXPECT_EQ(svc.counters().sweeps + svc.counters().shards, 0u);
     svc.stop();
 }
 
@@ -370,6 +375,62 @@ TEST(Service, HalfClosedClientStillGetsTheStream)
     EXPECT_EQ(r.status, 200);
     EXPECT_EQ(r.body, expected);
     svc.stop();
+}
+
+/** readHttpResponse over a socketpair whose peer wrote @a raw and
+ *  closed its end. */
+HttpResponse
+readCannedResponse(const std::string &raw)
+{
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+        throw IoError("socketpair failed");
+    const bool sent = service::writeAll(sv[0], raw);
+    ::close(sv[0]);
+    struct Closer
+    {
+        int fd;
+        ~Closer() { ::close(fd); }
+    } closer{sv[1]};
+    if (!sent)
+        throw IoError("canned response did not fit the socket buffer");
+    return service::readHttpResponse(sv[1]);
+}
+
+TEST(HttpChunked, StrictChunkSizesDecode)
+{
+    const std::string head =
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+    EXPECT_EQ(readCannedResponse(head + "5\r\nhello\r\n0\r\n\r\n").body,
+              "hello");
+    EXPECT_EQ(readCannedResponse(head +
+                                 "A\r\n0123456789\r\n00\r\n\r\n")
+                  .body,
+              "0123456789");
+}
+
+TEST(HttpChunked, MalformedChunkSizesThrow)
+{
+    // Each body once decoded to garbage or was accepted: a bare
+    // strtoull took a sign, leading blanks, "0x" and extensions, and
+    // a 2^64-1 size after a first chunk wrapped the body-cap check.
+    const std::string head =
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+    for (const char *body : {
+             "+5\r\nhello\r\n0\r\n\r\n",
+             " 5\r\nhello\r\n0\r\n\r\n",
+             "0x5\r\nhello\r\n0\r\n\r\n",
+             "5;ext=1\r\nhello\r\n0\r\n\r\n",
+             "\r\nhello\r\n0\r\n\r\n",
+             "5\r\nhello\r\nffffffffffffffff\r\n00\r\n\r\n",
+             "1000001\r\nhello\r\n0\r\n\r\n", // 16 MiB + 1
+         }) {
+        SCOPED_TRACE(body);
+        EXPECT_THROW(readCannedResponse(head + body), IoError);
+    }
+    // A size line that never ends is refused, not buffered forever.
+    EXPECT_THROW(readCannedResponse(head + std::string(200, '1')),
+                 IoError);
 }
 
 TEST(Service, StopWhileIdleIsClean)

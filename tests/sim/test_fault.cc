@@ -271,8 +271,11 @@ TEST(Fault, DeadlineCancelsHungJob)
               std::string::npos);
 }
 
-TEST(Fault, StrictModePropagatesTheError)
+TEST(Fault, RunRejectsStrictMode)
 {
+    // Strict mode was removed: a runner armed with keepGoing = false
+    // refuses the grid before any cell runs (the injected fault never
+    // fires), on both the full-grid and the subset path.
     Program a = microRandomBranchLoop(8, 0.4);
     const std::vector<SweepJob> grid = {
         makeVariantJob(a, FrontendVariant::Dcf, smallWindow())};
@@ -282,7 +285,15 @@ TEST(Fault, StrictModePropagatesTheError)
     SweepPolicy pol;
     pol.keepGoing = false;
     runner.setPolicy(pol);
-    EXPECT_THROW(runner.run(grid), InjectedError);
+    EXPECT_THROW(runner.run(grid), ConfigError);
+    EXPECT_THROW(runner.run(grid, {0}), ConfigError);
+    EXPECT_TRUE(runner.results().empty());
+
+    // The same runner still works once the policy is valid again.
+    pol.keepGoing = true;
+    runner.setPolicy(pol);
+    const std::vector<RunResult> got = runner.run(grid);
+    EXPECT_EQ(got[0].status, JobStatus::Failed);
 }
 
 TEST(Manifest, RoundTripSkipsGarbageAndKeepsLastIndex)

@@ -215,6 +215,31 @@ TEST(SweepSpecValidate, EmptyAndUnknownPiecesRejected)
     EXPECT_THROW(validateSweepSpec(spec), ConfigError);
 }
 
+TEST(SweepSpecValidate, KeepGoingFalseIsRejected)
+{
+    // Strict mode is gone: a spec asking for it is invalid, and the
+    // error says why.
+    std::string text = specJson(bench::fig3Spec(smallWindow()));
+    const std::string on = "\"keep_going\": true";
+    const std::size_t at = text.find(on);
+    ASSERT_NE(at, std::string::npos);
+    const SweepSpec kept = parseSweepSpec(text);
+    EXPECT_NO_THROW(validateSweepSpec(kept));
+    EXPECT_EQ(specJson(kept), text); // `true` still round-trips
+
+    text.replace(at, on.size(), "\"keep_going\": false");
+    const SweepSpec strict = parseSweepSpec(text);
+    try {
+        validateSweepSpec(strict);
+        FAIL() << "keep_going=false was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("strict"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(expandSweep(strict), ConfigError);
+}
+
 // ---------------------------------------------------------------------
 // Knob registry
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * CLI-contract test: every experiment harness (and the daemon, and
  * the examples) exits 0 on `--help` and 2 on an unknown flag — the
- * uniform usage-error semantics scripts and run_all.sh rely on.
+ * uniform usage-error semantics scripts and run_all.sh rely on. A
+ * `--spec` asking for the removed strict mode is such a usage error.
  *
  * The binary locations come from the ELFSIM_BENCH_DIR /
  * ELFSIM_EXAMPLES_DIR environment variables, which the ctest
@@ -12,8 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "sim/sweep_spec.hh"
 
 namespace {
 
@@ -44,6 +50,27 @@ requiredEnv(const char *name)
     EXPECT_NE(v, nullptr)
         << name << " must be set by the ctest registration";
     return v ? v : "";
+}
+
+/** Write a one-cell spec with the given keep_going flag to a temp
+ *  file; returns its path. */
+std::string
+writeTinySpec(const char *file, bool keepGoing)
+{
+    elfsim::SweepSpec spec;
+    spec.name = "cli_keep_going";
+    spec.run.warmupInsts = 1000;
+    spec.run.measureInsts = 2000;
+    elfsim::SweepGroup g;
+    g.workloads = {elfsim::WorkloadSelector::micro("random_branch_loop",
+                                                   {4, 0.5})};
+    g.configs = {elfsim::ConfigSpec(elfsim::FrontendVariant::Dcf)};
+    spec.groups.push_back(std::move(g));
+    spec.policy.keepGoing = keepGoing;
+    const std::string path = ::testing::TempDir() + "/" + file;
+    std::ofstream os(path);
+    elfsim::writeSweepSpec(os, spec);
+    return path;
 }
 
 } // namespace
@@ -83,4 +110,23 @@ TEST(BenchCli, ExamplesSharingTheParserFollowTheSameContract)
     const std::string dir = requiredEnv("ELFSIM_EXAMPLES_DIR");
     ASSERT_FALSE(dir.empty());
     expectUniformCli(dir, "server_capacity");
+}
+
+TEST(BenchCli, StrictModeSpecIsAUsageError)
+{
+    const std::string benchDir = requiredEnv("ELFSIM_BENCH_DIR");
+    ASSERT_FALSE(benchDir.empty());
+    const std::string strictPath =
+        writeTinySpec("cli_strict.json", false);
+    const std::string keptPath = writeTinySpec("cli_kept.json", true);
+    const std::string strict = "--jobs 1 --spec " + strictPath;
+    const std::string kept = "--jobs 1 --spec " + keptPath;
+    const std::string fig9 = benchDir + "/bench_fig9_geomean";
+    EXPECT_EQ(runTool(fig9, strict.c_str()), 2);
+    EXPECT_EQ(runTool(fig9, kept.c_str()), 0);
+    const std::string coord = benchDir + "/elfsim_coord";
+    EXPECT_EQ(runTool(coord, (strict + " --local").c_str()), 2);
+    EXPECT_EQ(runTool(coord, (kept + " --local").c_str()), 0);
+    std::remove(strictPath.c_str());
+    std::remove(keptPath.c_str());
 }
