@@ -182,38 +182,6 @@ ablationElfSpec(const RunOptions &run)
                         std::move(rows));
 }
 
-/**
- * Simulator throughput: the (optionally strided) catalog across the
- * three distinct hot paths, plus — with @a sampled — a second group
- * running the memory-bound slow movers in sampled mode over a long
- * stream (its own RunOptions, hence its own group).
- */
-inline SweepSpec
-throughputSpec(const RunOptions &run, unsigned stride, bool sampled,
-               bool quick)
-{
-    SweepSpec spec = oneGroupSpec(
-        "throughput", run,
-        {WorkloadSelector::set("catalog", stride)},
-        {ConfigSpec(FrontendVariant::NoDcf),
-         ConfigSpec(FrontendVariant::Dcf),
-         ConfigSpec(FrontendVariant::UElf)});
-    if (sampled) {
-        SweepGroup g;
-        g.workloads = {WorkloadSelector::byName("605.mcf"),
-                       WorkloadSelector::byName("srv2.subtest_3")};
-        g.configs = {ConfigSpec(FrontendVariant::UElf)};
-        g.hasRun = true;
-        g.run.warmupInsts = 0;
-        g.run.measureInsts = quick ? 2500000 : 10000000;
-        g.run.samplePeriodInsts = 1000000;
-        g.run.sampleLengthInsts = 5000;
-        g.run.sampleWarmupInsts = 1000;
-        spec.groups.push_back(std::move(g));
-    }
-    return spec;
-}
-
 /** Server capacity study: four growing instruction footprints of the
  *  srv1 recipe x the four frontends. */
 inline SweepSpec

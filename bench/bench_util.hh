@@ -81,7 +81,7 @@ struct Options
 /**
  * A bench-specific flag handled inside the common option loop, so it
  * shares the uniform `--help` text and unknown-flag exit-2 semantics
- * (bench_throughput's --stride/--sampled, server_capacity's --hammer).
+ * (server_capacity's --hammer).
  */
 struct LocalFlag
 {

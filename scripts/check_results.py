@@ -15,12 +15,6 @@ Usage:
         Use this to confirm --jobs 1 and --jobs N exports of the same
         grid match.
 
-    scripts/check_results.py --throughput FILE [--baseline BASE]
-        Schema-check an elfsim-throughput-v1 document (written by
-        bench_throughput). With --baseline, additionally fail if
-        geomean simulated MIPS regressed more than 10% versus the
-        committed baseline document.
-
     scripts/check_results.py --spec FILE [FILE ...]
         Schema-check elfsim-sweepspec-v1 documents (a bench's
         --dump-spec archive, or a request body for elfsimd).
@@ -53,18 +47,8 @@ import json
 import sys
 
 SCHEMA = "elfsim-results-v2"
-THROUGHPUT_SCHEMA = "elfsim-throughput-v1"
 LEDGER_SCHEMA = "elfsim-ledger-v1"
 MANIFEST_SCHEMA = "elfsim-manifest-v1"
-# A >10% geomean-MIPS drop vs the committed baseline fails the gate;
-# smaller swings are host noise.
-REGRESSION_TOLERANCE = 0.10
-
-THROUGHPUT_STR_FIELDS = ("workload", "variant")
-THROUGHPUT_NUM_FIELDS = (
-    "wall_seconds", "sim_insts", "sim_cycles", "mips",
-    "cycles_per_host_us",
-)
 
 # Per-result scalar fields (RunResult::forEachField order).
 RESULT_STR_FIELDS = ("workload", "variant", "error")
@@ -555,72 +539,6 @@ def check_ledger_file(path, text):
           f"{', torn final line' if torn_tail else ''})")
 
 
-def check_throughput_document(path, doc):
-    if not isinstance(doc, dict):
-        fail(path, "top level is not an object")
-    if doc.get("schema") != THROUGHPUT_SCHEMA:
-        fail(path, f"schema is {doc.get('schema')!r}, "
-                   f"expected {THROUGHPUT_SCHEMA!r}")
-    geomean = doc.get("geomean_mips")
-    if not isinstance(geomean, (int, float)) or geomean <= 0:
-        fail(path, "geomean_mips missing or not positive")
-    rows = doc.get("throughput")
-    if not isinstance(rows, list) or not rows:
-        fail(path, "missing or empty 'throughput' array")
-    for i, r in enumerate(rows):
-        where = f"throughput[{i}]"
-        for k in THROUGHPUT_STR_FIELDS:
-            if not isinstance(r.get(k), str):
-                fail(path, f"{where}.{k} missing or not a string")
-        for k in THROUGHPUT_NUM_FIELDS:
-            if not isinstance(r.get(k), (int, float)):
-                fail(path, f"{where}.{k} missing or not a number")
-        if r["wall_seconds"] <= 0 or r["mips"] <= 0:
-            fail(path, f"{where}: non-positive wall_seconds/mips")
-    timing = doc.get("timing")
-    if not isinstance(timing, dict):
-        fail(path, "missing 'timing' block")
-    for k in ("jobs", "threads", "wall_seconds"):
-        if not isinstance(timing.get(k), (int, float)):
-            fail(path, f"timing.{k} missing or not a number")
-    # Host metadata (host_cpus / host_jobs) is optional — older
-    # documents predate it — but when present it must be sane.
-    for k in ("host_cpus", "host_jobs"):
-        if k in timing and (not isinstance(timing[k], int)
-                            or timing[k] <= 0):
-            fail(path, f"timing.{k} is not a positive integer")
-    print(f"{path}: OK ({len(rows)} throughput rows, "
-          f"geomean {geomean:.3f} MIPS)")
-
-
-def row_geomean(doc, keys):
-    import math
-    vals = [r["mips"] for r in doc["throughput"]
-            if (r["workload"], r["variant"]) in keys]
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def compare_throughput(base_path, base, new_path, new):
-    # Compare geomean MIPS over the rows present in BOTH documents, so
-    # a strided smoke run (bench_throughput --stride N) gates against
-    # the full-grid committed baseline without bias.
-    keys = ({(r["workload"], r["variant"]) for r in base["throughput"]} &
-            {(r["workload"], r["variant"]) for r in new["throughput"]})
-    if not keys:
-        fail(new_path, f"no rows in common with baseline {base_path}")
-    old_g, new_g = row_geomean(base, keys), row_geomean(new, keys)
-    ratio = new_g / old_g
-    if ratio < 1.0 - REGRESSION_TOLERANCE:
-        fail(new_path,
-             f"geomean MIPS regressed {100 * (1 - ratio):.1f}% over "
-             f"{len(keys)} common rows ({old_g:.3f} -> {new_g:.3f}, "
-             f"baseline {base_path}); tolerance is "
-             f"{100 * REGRESSION_TOLERANCE:.0f}%")
-    print(f"baseline: geomean {old_g:.3f} -> {new_g:.3f} MIPS over "
-          f"{len(keys)} common rows ({100 * (ratio - 1):+.1f}%) "
-          f"within tolerance")
-
-
 def load(path):
     try:
         with open(path) as f:
@@ -636,9 +554,6 @@ def main():
                     help="compare exactly two documents, ignoring "
                          "the 'timing', 'trace' and per-result "
                          "'sampling' blocks")
-    ap.add_argument("--throughput", action="store_true",
-                    help="validate elfsim-throughput-v1 documents "
-                         "instead of results documents")
     ap.add_argument("--spec", action="store_true",
                     help="validate elfsim-sweepspec-v1 documents "
                          "instead of results documents")
@@ -648,19 +563,13 @@ def main():
     ap.add_argument("--ledger", action="store_true",
                     help="validate elfsim-ledger-v1 lease ledgers "
                          "(elfsim_coord scheduling journals)")
-    ap.add_argument("--baseline", metavar="BASE",
-                    help="with --throughput: fail on a >10%% geomean "
-                         "MIPS regression versus this baseline")
     ap.add_argument("--allow-failed", type=int, default=0, metavar="N",
                     help="tolerate up to N non-ok cells per results "
                          "document (default 0)")
     args = ap.parse_args()
 
-    if args.baseline and not args.throughput:
-        ap.error("--baseline requires --throughput")
-    if sum((args.throughput, args.spec, args.stream, args.ledger,
-            args.compare)) > 1:
-        ap.error("--throughput/--spec/--stream/--ledger/--compare "
+    if sum((args.spec, args.stream, args.ledger, args.compare)) > 1:
+        ap.error("--spec/--stream/--ledger/--compare "
                  "are mutually exclusive")
 
     if args.spec:
@@ -684,16 +593,6 @@ def main():
                     check_ledger_file(path, f.read())
             except OSError as e:
                 fail(path, str(e))
-        return
-
-    if args.throughput:
-        for path in args.files:
-            doc = load(path)
-            check_throughput_document(path, doc)
-            if args.baseline:
-                base = load(args.baseline)
-                check_throughput_document(args.baseline, base)
-                compare_throughput(args.baseline, base, path, doc)
         return
 
     docs = {p: load(p) for p in args.files}

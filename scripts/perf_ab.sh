@@ -25,6 +25,11 @@
 #                noise, and not every head run beats every base run;
 #   within bound otherwise; `identical` when every pair matches exactly.
 #
+# Exit status: 0 when no metric is a REGRESSION and every run was
+# correct; 1 on any REGRESSION verdict or any failed, incorrect or
+# missing run; 2 on bad arguments (--pairs below 1, a workload not in
+# BENCHMARK.json, an unknown revision), before anything is built.
+#
 # The checkouts are deleted on exit; the raw result lines (runs.tsv)
 # and the build/run logs stay in the printed mktemp directory, which is
 # yours to delete.
@@ -39,24 +44,36 @@ head=HEAD
 workloads=""
 pairs=10
 seed_base=1
+usage() { echo "perf_ab.sh: $*" >&2; exit 2; }
 while [ $# -gt 0 ]; do
+    case "$1" in
+      --base|--head|--workloads|--pairs|--seed-base)
+        [ $# -ge 2 ] || usage "$1 needs a value" ;;
+    esac
     case "$1" in
       --base) base=$2; shift 2 ;;
       --head) head=$2; shift 2 ;;
       --workloads) workloads=$2; shift 2 ;;
       --pairs) pairs=$2; shift 2 ;;
       --seed-base) seed_base=$2; shift 2 ;;
-      -h|--help) sed -n '2,35p' "$0"; exit 0 ;;
-      *) echo "perf_ab.sh: unknown argument $1" >&2; exit 2 ;;
+      -h|--help) sed -n '2,38p' "$0"; exit 0 ;;
+      *) usage "unknown argument $1" ;;
     esac
 done
-[ -n "$workloads" ] || workloads=$(python3 -c \
+[[ $pairs =~ ^[1-9][0-9]*$ ]] || usage "--pairs must be at least 1, got '$pairs'"
+[[ $seed_base =~ ^[0-9]+$ ]] || usage "--seed-base must be a number, got '$seed_base'"
+known=$(python3 -c \
     'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+[ -n "$workloads" ] || workloads=$known
+IFS=, read -r -a wl <<<"$workloads"
+for w in "${wl[@]}"; do
+    [[ ,$known, == *",$w,"* ]] || usage "unknown workload '$w' (BENCHMARK.json has $known)"
+done
+base_rev=$(git rev-parse -q --verify "$base^{commit}") || usage "unknown revision '$base'"
+head_rev=$(git rev-parse -q --verify "$head^{commit}") || usage "unknown revision '$head'"
+
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/perf_ab.XXXXXX")
 trap 'rm -rf "$workdir/base" "$workdir/head"' EXIT
-
-base_rev=$(git rev-parse --verify "$base^{commit}")
-head_rev=$(git rev-parse --verify "$head^{commit}")
 for side in base head; do
     rev=${side}_rev
     mkdir "$workdir/$side"
@@ -76,7 +93,6 @@ run_side() {
     printf '%s\t%s\t%s\t%s\n' "$side" "$w" "$seed" "$line" >>"$workdir/runs.tsv"
 }
 
-IFS=, read -r -a wl <<<"$workloads"
 : >"$workdir/runs.tsv"
 # Build both benchmark programs before anything is timed.
 for side in base head; do
@@ -105,6 +121,7 @@ bench = json.load(open("BENCHMARK.json"))
 metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 runs = {}
 bad = []
+regressions = 0
 for row in open(sys.argv[1]):
     side, w, seed, line = row.rstrip("\n").split("\t", 3)
     try:
@@ -156,9 +173,12 @@ for w in dict.fromkeys(k[0] for k in runs):
         if b == h:
             verdict = "identical"
         elif wins * 10 >= 9 * len(pairs) and gap > iqr:
-            verdict = "GAIN (%.2fx)" % (hq[1] / bq[1] if bq[1] else math.inf)
+            # The factor reads > 1 for a gain in either direction.
+            num, den = (hq[1], bq[1]) if sign > 0 else (bq[1], hq[1])
+            verdict = "GAIN (%.2fx)" % (num / den if den else math.inf)
         elif change < -bound:
             verdict = "REGRESSION (beyond bound)"
+            regressions += 1
         elif spread > bound and not separated:
             verdict = "unresolved (base IQR %.0f%% > bound)" % (100 * spread)
         else:
@@ -169,5 +189,7 @@ for w in dict.fromkeys(k[0] for k in runs):
                wins, len(pairs), verdict))
 for side, w, seed, why in bad:
     print("perf_ab: %s %s seed %s: %s" % (side, w, seed, why))
-sys.exit(1 if bad else 0)
+if regressions:
+    print("perf_ab: %d REGRESSION verdict(s)" % regressions)
+sys.exit(1 if bad or regressions else 0)
 EOF

@@ -1,83 +1,15 @@
 #!/usr/bin/env bash
-# Quick simulator-throughput smoke (~15-30 s): every 3rd catalog
-# workload at full-size windows, single job, schema check, and the
-# >10% geomean-MIPS regression gate against the committed
-# BENCH_throughput.json (matched on the common rows).
+# Same-host perf gate: scripts/perf_ab.sh with 3 pairs over every
+# BENCHMARK.json workload, HEAD against its merge base with main (or
+# HEAD~1 when HEAD is on main). Exits non-zero on any REGRESSION
+# verdict or failed run. Extra arguments go to perf_ab.sh and win
+# over these defaults.
 #
-#   scripts/perf_smoke.sh           # uses ./build (default preset)
-#   BUILD=build-native scripts/perf_smoke.sh   # host-tuned binaries
-#
-# Full windows (not --quick) keep per-run MIPS comparable with the
-# baseline; a marginal pass here still deserves a full
-# `build/bench/bench_throughput --jobs 1` before concluding anything
-# regressed.
+#   scripts/perf_smoke.sh
+#   scripts/perf_smoke.sh --workloads detailed_mem --pairs 5
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD="${BUILD:-build}"
-BIN="$BUILD/bench/bench_throughput"
-[ -x "$BIN" ] || {
-    echo "$BIN not built (cmake --build $BUILD)" >&2
-    exit 1
-}
-
-OUT="$BUILD/results"
-mkdir -p "$OUT"
-
-# Warm artifact caches: repeat smokes map the compiled workload
-# streams and warm-state checkpoints from disk instead of regenerating
-# them. Each cache lives under a subdirectory named after its artifact
-# format version (elfsim-trace-v2 / elfsim-ckpt-v1): a format bump
-# lands in a fresh directory, so artifacts written by an older or
-# newer checkout can never be picked up here and skew the timing
-# gates. Bump the path together with the magic string.
-TRACE_CACHE="$BUILD/trace-cache/elfsim-trace-v2"
-CKPT_CACHE="$BUILD/ckpt-cache/elfsim-ckpt-v1"
-mkdir -p "$TRACE_CACHE" "$CKPT_CACHE"
-
-"$BIN" --stride 3 --sampled --jobs 1 --trace-cache "$TRACE_CACHE" \
-       --ckpt-cache "$CKPT_CACHE" --json "$OUT/perf_smoke.json"
-
-if [ -f BENCH_throughput.json ]; then
-    python3 scripts/check_results.py --throughput \
-        --baseline BENCH_throughput.json "$OUT/perf_smoke.json"
-else
-    python3 scripts/check_results.py --throughput "$OUT/perf_smoke.json"
-fi
-
-# Sampled gate: sampling must cover at least one >=10M-instruction
-# stream at >=65x the effective MIPS of that workload's detailed
-# U-ELF row in the committed baseline (full-run timing; the smoke's
-# own strided grid may not include the slow workloads). The best row
-# gates — with the batch warming kernel a cold-cache run sits around
-# 80-95x and warm re-runs far above — and every ratio is printed so
-# a creeping fast-forward regression stays visible.
-if [ -f BENCH_throughput.json ]; then
-    python3 - "$OUT/perf_smoke.json" BENCH_throughput.json <<'EOF'
-import json, sys
-new = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-detailed = {r["workload"]: r["mips"] for r in base["throughput"]
-            if r["variant"] == "U-ELF"}
-best = 0.0
-rows = 0
-for r in new["throughput"]:
-    if not r["variant"].endswith("/sampled"):
-        continue
-    ref = detailed.get(r["workload"])
-    if ref is None or ref <= 0:
-        print(f"sampled gate: no baseline U-ELF row for "
-              f"{r['workload']}, skipping", file=sys.stderr)
-        continue
-    rows += 1
-    ratio = r["mips"] / ref
-    best = max(best, ratio)
-    print(f"sampled gate: {r['workload']} {r['mips']:.2f} effective "
-          f"MIPS vs {ref:.3f} detailed = {ratio:.0f}x")
-if rows == 0:
-    sys.exit("sampled gate: no sampled rows in document")
-if best < 65:
-    sys.exit(f"sampled gate: best speedup {best:.0f}x < 65x")
-print(f"sampled gate: OK (best {best:.0f}x >= 65x over {rows} rows)")
-EOF
-fi
+base=$(git merge-base HEAD main 2>/dev/null || git rev-parse HEAD)
+[ "$base" != "$(git rev-parse HEAD)" ] || base=HEAD~1
+exec scripts/perf_ab.sh --base "$base" --head HEAD --pairs 3 "$@"

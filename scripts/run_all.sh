@@ -52,13 +52,12 @@ mkdir -p "$RESULTS"
 # One shared compiled-trace cache for the whole campaign: the first
 # bench touching a workload compiles and saves its trace, every later
 # bench maps the artifact (content-keyed, so stale files just miss).
-# Caches live under a subdirectory named after the artifact format
-# version (elfsim-trace-v2 / elfsim-ckpt-v1), so artifacts written by
-# a checkout with a different format can never be picked up here —
-# keep the path in sync with the magic string when bumping a format.
+# The cache lives under a subdirectory named after the artifact format
+# version (elfsim-trace-v2), so artifacts written by a checkout with a
+# different format can never be picked up here — keep the path in sync
+# with the magic string when bumping the format.
 TRACE_CACHE=build/trace-cache/elfsim-trace-v2
-CKPT_CACHE=build/ckpt-cache/elfsim-ckpt-v1
-mkdir -p "$TRACE_CACHE" "$CKPT_CACHE"
+mkdir -p "$TRACE_CACHE"
 
 # A bench killed mid-export leaves a truncated JSON behind; never let
 # such a partial artifact masquerade as results.
@@ -101,29 +100,6 @@ for b in build/bench/*; do
             "$b" --jobs "$JOBS" --trace-cache "$TRACE_CACHE" \
                  ${EXTRA[@]+"${EXTRA[@]}"} || status=$?
             ;;
-        bench_throughput)
-            # Simulator-speed gate: separate schema + regression
-            # check against the committed baseline. Run single-job so
-            # per-run wall clocks are not distorted by oversubscription
-            # (scripts/perf_smoke.sh is the quick variant; build the
-            # release-native preset for host-tuned numbers).
-            CURRENT_ARTIFACT="$RESULTS/$name.json"
-            "$b" --jobs 1 --sampled --json "$RESULTS/$name.json" \
-                 --trace-cache "$TRACE_CACHE" \
-                 --ckpt-cache "$CKPT_CACHE" \
-                 ${EXTRA[@]+"${EXTRA[@]}"} || status=$?
-            if [ "$status" -eq 0 ]; then
-                CURRENT_ARTIFACT=""
-                if [ -f BENCH_throughput.json ]; then
-                    python3 scripts/check_results.py --throughput \
-                        --baseline BENCH_throughput.json \
-                        "$RESULTS/$name.json" || status=$?
-                else
-                    python3 scripts/check_results.py --throughput \
-                        "$RESULTS/$name.json" || status=$?
-                fi
-            fi
-            ;;
         *)
             # --dump-spec archives the exact declarative grid next to
             # the results: the pair re-runs bit-identically later via
@@ -153,6 +129,11 @@ for b in build/bench/*; do
         echo "FAILED: $name (exit $status)" >&2
     fi
 done
+
+# Perf gate: a same-host A/B of HEAD against its merge base over
+# every BENCHMARK.json workload; any REGRESSION verdict fails it.
+echo "######## perf smoke"
+scripts/perf_smoke.sh || FAILED+=("perf smoke")
 
 if [ ${#ARTIFACTS[@]} -gt 0 ]; then
     echo "######## schema check"

@@ -207,14 +207,16 @@ ShardStream::nextLine(std::string &line)
 
         // De-chunk whatever is buffered; fill when it runs dry.
         if (skipCrlf > 0) {
-            const std::size_t n =
-                std::min<std::size_t>(skipCrlf, raw.size() - rawPos);
-            rawPos += n;
-            skipCrlf -= unsigned(n);
-            if (skipCrlf > 0) {
+            // The chunk's trailing CRLF, possibly split across reads.
+            if (rawPos == raw.size()) {
                 if (!fill())
                     return false;
+                continue;
             }
+            if (raw[rawPos] != "\r\n"[2 - skipCrlf])
+                return fail("chunk not followed by CRLF");
+            ++rawPos;
+            --skipCrlf;
             continue;
         }
         if (chunkLeft > 0) {
@@ -229,7 +231,7 @@ ShardStream::nextLine(std::string &line)
             rawPos += n;
             chunkLeft -= n;
             if (chunkLeft == 0)
-                skipCrlf = 2; // the chunk's trailing CRLF
+                skipCrlf = 2;
             continue;
         }
         // At a chunk-size line ("<hex>\r\n").

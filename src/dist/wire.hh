@@ -144,7 +144,7 @@ class ShardStream
     std::string out;          ///< de-chunked bytes pending '\n'
     std::size_t outScanned = 0; ///< prefix of out known '\n'-free
     std::size_t chunkLeft = 0;
-    unsigned skipCrlf = 0;    ///< chunk-trailer bytes still to skip
+    unsigned skipCrlf = 0;    ///< chunk-trailer CRLF bytes still due
     bool final_ = false;      ///< terminal zero-chunk seen
     bool bad = false;
     std::string err;

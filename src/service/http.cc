@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -114,6 +114,16 @@ parseHeaderLines(const std::string &head, std::size_t firstLineEnd,
     return true;
 }
 
+/** Parse a Content-Length value: decimal digits only, at most the
+ *  body cap. */
+bool
+parseContentLength(const std::string &v, std::size_t &n)
+{
+    const char *end = v.data() + v.size();
+    const auto [p, ec] = std::from_chars(v.data(), end, n);
+    return ec == std::errc() && p == end && n <= kMaxBodyBytes;
+}
+
 /** Read exactly @a n more bytes into @a body (which may already hold
  *  a prefix from the header read). */
 bool
@@ -168,8 +178,10 @@ readChunked(int fd, std::string raw, std::string &out)
                 return false;
             raw.append(tmp, std::size_t(r));
         }
+        if (raw.compare(pos + n, 2, "\r\n") != 0)
+            return false; // the chunk must end in CRLF
         out.append(raw, pos, n);
-        pos += n + 2; // skip the chunk's trailing CRLF
+        pos += n + 2;
     }
 }
 
@@ -283,15 +295,12 @@ readHttpRequest(int fd, HttpRequest &out, std::string &err)
     out.body = std::move(rest);
     const auto cl = out.headers.find("content-length");
     if (cl != out.headers.end()) {
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(cl->second.c_str(), &end, 10);
-        if (end == cl->second.c_str() || *end != '\0' ||
-            n > kMaxBodyBytes) {
+        std::size_t n = 0;
+        if (!parseContentLength(cl->second, n)) {
             err = "bad content-length";
             return false;
         }
-        if (!readBody(fd, out.body, std::size_t(n))) {
+        if (!readBody(fd, out.body, n)) {
             err = "short request body";
             return false;
         }
@@ -360,20 +369,10 @@ ChunkedResponse::finish()
 HttpResponse
 readHttpResponse(int fd)
 {
-    std::string head, rest;
-    if (!readHead(fd, head, rest))
-        throw IoError("connection closed before a full response");
-    std::size_t eol = head.find("\r\n");
-    if (eol == std::string::npos)
-        eol = head.size();
-    const std::string statusLine = head.substr(0, eol);
     HttpResponse resp;
-    if (std::sscanf(statusLine.c_str(), "HTTP/%*d.%*d %d",
-                    &resp.status) != 1)
-        throw IoError(errorf("malformed status line '%s'",
-                             statusLine.c_str()));
-    if (!parseHeaderLines(head, eol + 2, resp.headers))
-        throw IoError("malformed response header");
+    std::string rest, err;
+    if (!readHttpResponseHead(fd, resp.status, resp.headers, rest, err))
+        throw IoError(err);
     const auto te = resp.headers.find("transfer-encoding");
     if (te != resp.headers.end() &&
         lowered(te->second) == "chunked") {
@@ -384,8 +383,10 @@ readHttpResponse(int fd)
     resp.body = std::move(rest);
     const auto cl = resp.headers.find("content-length");
     if (cl != resp.headers.end()) {
-        const std::size_t n =
-            std::size_t(std::strtoull(cl->second.c_str(), nullptr, 10));
+        std::size_t n = 0;
+        if (!parseContentLength(cl->second, n))
+            throw IoError(errorf("bad content-length '%s'",
+                                 cl->second.c_str()));
         if (!readBody(fd, resp.body, n))
             throw IoError("short response body");
     } else {

@@ -125,7 +125,9 @@ HttpResponse httpFetch(const std::string &host, std::uint16_t port,
                            &headers = {});
 
 /** Read + parse one response from an already-connected socket (the
- *  multi-request client path). Throws IoError on malformed data. */
+ *  multi-request client path). Throws IoError on malformed data: a
+ *  bad status line or header, a Content-Length that is not plain
+ *  decimal within kMaxBodyBytes, or a chunk not followed by CRLF. */
 HttpResponse readHttpResponse(int fd);
 
 /**

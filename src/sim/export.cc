@@ -3,7 +3,6 @@
 #include <istream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -56,16 +55,8 @@ struct CsvCellVisitor
     }
 };
 
-/**
- * @a with_host appends host metadata (machine CPU count and the
- * effective thread count the run actually used) — only the throughput
- * document asks for it: host facts there make MIPS figures comparable
- * across machines, but they would break the byte-identity guarantee
- * of the results document, whose timing block must stay a pure
- * function of the sweep.
- */
 void
-writeTiming(JsonWriter &w, const SweepTiming &t, bool with_host = false)
+writeTiming(JsonWriter &w, const SweepTiming &t)
 {
     w.beginObject();
     w.field("jobs", std::uint64_t(t.jobs));
@@ -76,11 +67,6 @@ writeTiming(JsonWriter &w, const SweepTiming &t, bool with_host = false)
     w.field("sim_cycles", t.simCycles);
     w.field("sim_insts", t.simInsts);
     w.field("sim_cycles_per_second", t.cyclesPerSecond());
-    if (with_host) {
-        w.field("host_cpus",
-                std::uint64_t(std::thread::hardware_concurrency()));
-        w.field("host_jobs", std::uint64_t(t.threads));
-    }
     w.endObject();
 }
 
@@ -246,62 +232,6 @@ writeResultsCsv(std::ostream &os, const std::vector<RunResult> &results)
             .cell(std::uint64_t(r.timeline.size()));
         w.endRow();
     }
-}
-
-void
-writeThroughputJson(std::ostream &os,
-                    const std::vector<RunResult> &results,
-                    const std::vector<double> &job_seconds,
-                    const SweepTiming &timing)
-{
-    ELFSIM_ASSERT(results.size() == job_seconds.size(),
-                  "throughput export needs one wall-clock per result");
-    // Sampled rows report *effective* throughput: the whole stream the
-    // run covered (fast-forward + detailed windows) per host second,
-    // and the extrapolated cycle total — that is the quantity sampling
-    // buys, and the one the >=50x gate in scripts/perf_smoke.sh reads.
-    const auto effInsts = [](const RunResult &r) {
-        return r.sampled ? r.sampling.totalInsts : r.insts;
-    };
-    const auto effCycles = [](const RunResult &r) {
-        return r.sampled ? r.sampling.estTotalCycles : r.cycles;
-    };
-    std::vector<double> mips, okMips;
-    mips.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const double s = job_seconds[i];
-        mips.push_back(s > 0 ? double(effInsts(results[i])) / s / 1e6
-                             : 0);
-        // Failed or resumed cells carry no wall-clock; keep their
-        // zeros out of the geomean (which requires positives).
-        if (results[i].ok() && mips.back() > 0)
-            okMips.push_back(mips.back());
-    }
-
-    JsonWriter w(os);
-    w.beginObject();
-    w.field("schema", "elfsim-throughput-v1");
-    w.key("timing");
-    writeTiming(w, timing, /*with_host=*/true);
-    w.field("geomean_mips", geomean(okMips));
-    w.key("throughput");
-    w.beginArray();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        const double s = job_seconds[i];
-        w.beginObject();
-        w.field("workload", std::string_view(r.workload));
-        w.field("variant", std::string_view(r.variant));
-        w.field("wall_seconds", s);
-        w.field("sim_insts", std::uint64_t(effInsts(r)));
-        w.field("sim_cycles", std::uint64_t(effCycles(r)));
-        w.field("mips", mips[i]);
-        w.field("cycles_per_host_us",
-                s > 0 ? double(effCycles(r)) / s / 1e6 : 0);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
 }
 
 void

@@ -122,40 +122,6 @@ void writeResultsCsv(std::ostream &os,
 void writeTimelineCsv(std::ostream &os,
                       const std::vector<RunResult> &results);
 
-/**
- * Serialize a simulator-throughput measurement as an
- * elfsim-throughput-v1 document (validated by
- * scripts/check_results.py --throughput):
- *
- *   {
- *     "schema": "elfsim-throughput-v1",
- *     "timing": { ... SweepTiming ...,
- *                 "host_cpus": C, "host_jobs": J },
- *     "geomean_mips": G,
- *     "throughput": [
- *       { "workload": ..., "variant": ..., "wall_seconds": ...,
- *         "sim_insts": ..., "sim_cycles": ..., "mips": ...,
- *         "cycles_per_host_us": ... }, ...
- *     ]
- *   }
- *
- * Rows from sampled runs (RunResult::sampled) report *effective*
- * throughput: sim_insts is the whole stream covered (fast-forward +
- * detailed windows), sim_cycles the extrapolated total, so mips is
- * effective simulated MIPS — the figure the sampled perf gate reads.
- *
- * The timing block additionally records the host (CPU count and the
- * thread count the run effectively used) — MIPS figures are only
- * comparable with the machine attached. The results-v2 timing block
- * deliberately omits these: its bytes must not depend on the host.
- *
- * @a job_seconds must parallel @a results (SweepRunner::perJobSeconds).
- */
-void writeThroughputJson(std::ostream &os,
-                         const std::vector<RunResult> &results,
-                         const std::vector<double> &job_seconds,
-                         const SweepTiming &timing);
-
 // --- crash-safe resume manifest (JSONL) ------------------------------
 
 /** One journaled sweep cell. */

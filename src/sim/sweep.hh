@@ -267,9 +267,8 @@ class SweepRunner
 
     /**
      * Per-job wall-clock seconds of the most recent run(), in
-     * submission order (parallel to results()). This is what the
-     * throughput benchmark divides simulated instructions by to get
-     * per-job simulated MIPS.
+     * submission order (parallel to results()). perfbench rebuilds
+     * each cell's time span from these.
      */
     const std::vector<double> &perJobSeconds() const { return jobSeconds; }
 

@@ -234,9 +234,9 @@ struct ConfigSpec
 
 /**
  * One grid block: every selected workload crossed with every config
- * row. A group may carry its own RunOptions (hasRun) — how
- * bench_throughput appends its sampled sub-grid with a different
- * window schedule.
+ * row. A group may carry its own RunOptions (hasRun), so one spec can
+ * mix window schedules, e.g. a detailed grid plus a sampled sub-grid
+ * over a long stream; elfsimd accepts such specs from clients.
  */
 struct SweepGroup
 {

@@ -276,6 +276,20 @@ TEST(DistWire, ShardStreamFailsOnMalformedChunkSizes)
     }
 }
 
+TEST(DistWire, ShardStreamFailsOnAChunkNotFollowedByCrlf)
+{
+    // A chunk's data must be followed by CRLF. The chunk's own line
+    // is delivered; the stream then fails.
+    for (const char *body : {"6\r\nline1\nXY0\r\n\r\n",
+                             "6\r\nline1\n\rX0\r\n\r\n"}) {
+        SCOPED_TRACE(body);
+        bool failed = false;
+        EXPECT_EQ(drainShardStream(body, failed),
+                  (std::vector<std::string>{"line1"}));
+        EXPECT_TRUE(failed);
+    }
+}
+
 TEST(DistWire, ShardStreamCapsThePendingLine)
 {
     // Legal chunks that never deliver a '\n': the partial line must

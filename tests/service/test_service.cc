@@ -433,6 +433,51 @@ TEST(HttpChunked, MalformedChunkSizesThrow)
                  IoError);
 }
 
+TEST(HttpChunked, ChunkNotFollowedByCrlfThrows)
+{
+    // A chunk's data must be followed by CRLF, not by any two bytes.
+    const std::string head =
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+    EXPECT_THROW(readCannedResponse(head + "5\r\nhelloXY0\r\n\r\n"),
+                 IoError);
+    EXPECT_THROW(readCannedResponse(head + "5\r\nhello\n\r0\r\n\r\n"),
+                 IoError);
+}
+
+TEST(HttpContentLength, ResponseLengthIsParsedStrictly)
+{
+    const auto canned = [](const std::string &len) {
+        return readCannedResponse("HTTP/1.1 200 OK\r\nContent-Length: " +
+                                  len + "\r\n\r\nhello");
+    };
+    EXPECT_EQ(canned("5").body, "hello");
+    // Content-Length is plain decimal within the body cap.
+    for (const char *len : {"abc", "2x", "-1", "+5", "16777217",
+                            "99999999999999999999999"}) {
+        SCOPED_TRACE(len);
+        EXPECT_THROW(canned(len), IoError);
+    }
+}
+
+TEST(HttpContentLength, RequestLengthIsParsedStrictly)
+{
+    for (const char *len : {"abc", "2x", "-1", "+5", "16777217"}) {
+        SCOPED_TRACE(len);
+        int sv[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+        ASSERT_TRUE(service::writeAll(
+            sv[0], std::string("POST /sweep HTTP/1.1\r\n"
+                               "Content-Length: ") +
+                       len + "\r\n\r\nhello"));
+        ::close(sv[0]);
+        service::HttpRequest req;
+        std::string err;
+        EXPECT_FALSE(service::readHttpRequest(sv[1], req, err));
+        EXPECT_EQ(err, "bad content-length");
+        ::close(sv[1]);
+    }
+}
+
 TEST(Service, StopWhileIdleIsClean)
 {
     SweepService svc;

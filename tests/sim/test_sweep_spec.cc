@@ -485,18 +485,33 @@ TEST(SpecVsLegacy, AblationElf)
                    expandSweep(bench::ablationElfSpec(o)).jobs);
 }
 
-TEST(SpecVsLegacy, ThroughputStridedAndSampled)
+// A client spec that mixes window schedules: the catalog at stride 3
+// under the spec-level windows, plus a second group with its own
+// "run" sampling two memory-bound workloads over a long stream.
+TEST(SpecVsLegacy, StridedCatalogPlusSampledGroup)
 {
-    RunOptions o = smallWindow();
-    const unsigned stride = 3;
-    const bool quick = true;
+    const RunOptions o = smallWindow();
+    const SweepSpec spec = parseSweepSpec(R"({
+      "schema": "elfsim-sweepspec-v1",
+      "run": {"warmup_insts": 2000, "measure_insts": 4000},
+      "groups": [
+        {"workloads": [{"set": "catalog", "stride": 3}],
+         "configs": [{"variant": "NoDCF"}, {"variant": "DCF"},
+                     {"variant": "U-ELF"}]},
+        {"workloads": [{"name": "605.mcf"}, {"name": "srv2.subtest_3"}],
+         "configs": [{"variant": "U-ELF"}],
+         "run": {"warmup_insts": 0, "measure_insts": 2500000,
+                 "sample_period_insts": 1000000,
+                 "sample_length_insts": 5000,
+                 "sample_warmup_insts": 1000}}
+      ]})");
 
     static std::deque<Program> programs;
     programs.clear();
     std::vector<SweepJob> legacy;
     unsigned wi = 0;
     for (const WorkloadSpec &w : workloadCatalog()) {
-        if (wi++ % stride != 0)
+        if (wi++ % 3 != 0)
             continue;
         programs.push_back(buildWorkload(w));
         for (FrontendVariant v :
@@ -506,7 +521,7 @@ TEST(SpecVsLegacy, ThroughputStridedAndSampled)
     }
     RunOptions so;
     so.warmupInsts = 0;
-    so.measureInsts = quick ? 2500000 : 10000000;
+    so.measureInsts = 2500000;
     so.samplePeriodInsts = 1000000;
     so.sampleLengthInsts = 5000;
     so.sampleWarmupInsts = 1000;
@@ -515,10 +530,7 @@ TEST(SpecVsLegacy, ThroughputStridedAndSampled)
         legacy.push_back(makeVariantJob(programs.back(),
                                         FrontendVariant::UElf, so));
     }
-    expectSameGrid(
-        legacy,
-        expandSweep(bench::throughputSpec(o, stride, true, quick))
-            .jobs);
+    expectSameGrid(legacy, expandSweep(spec).jobs);
 }
 
 TEST(SpecVsLegacy, ServerCapacity)

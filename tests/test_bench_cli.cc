@@ -84,8 +84,8 @@ TEST(BenchCli, HelpExitsZeroAndUnknownFlagExitsTwo)
           "bench_fig2_timing", "bench_fig3_flush_penalty",
           "bench_fig6_nodcf", "bench_fig7_elf_variants",
           "bench_fig8_lelf_uelf", "bench_fig9_geomean",
-          "bench_ablation_elf", "bench_ablation_dcf",
-          "bench_throughput", "elfsimd", "elfsim_coord"})
+          "bench_ablation_elf", "bench_ablation_dcf", "elfsimd",
+          "elfsim_coord"})
         expectUniformCli(benchDir, name);
 }
 
