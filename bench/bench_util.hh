@@ -312,33 +312,11 @@ parseOptions(int argc, char **argv, Options defaults = {},
     }
     // A contradictory sampling schedule is a usage error, caught here
     // with a precise message rather than deep in the runner.
-    const auto usageError = [&](const char *msg) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], msg);
+    try {
+        checkRunOptions(o.runOptions(), "sampling options");
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         std::exit(2);
-    };
-    if (o.samplePeriodInsts == 0) {
-        if (o.sampleLengthInsts > 0 || o.sampleWarmupInsts > 0)
-            usageError("--sample-length/--sample-warmup need "
-                       "--sample-period");
-    } else {
-        if (o.sampleLengthInsts == 0)
-            usageError("--sample-period needs --sample-length > 0 "
-                       "(the measured window)");
-        if (o.sampleLengthInsts > o.samplePeriodInsts)
-            usageError("--sample-length exceeds --sample-period: the "
-                       "measured window must fit in the period");
-        if (o.sampleWarmupInsts >= o.samplePeriodInsts)
-            usageError("--sample-warmup must be smaller than "
-                       "--sample-period");
-        if (o.sampleWarmupInsts + o.sampleLengthInsts >
-            o.samplePeriodInsts)
-            usageError("--sample-warmup + --sample-length exceed "
-                       "--sample-period: the detailed window must fit "
-                       "in the period");
-        if (o.intervalInsts > 0)
-            usageError("--interval and --sample-period are mutually "
-                       "exclusive (a sampled run's timeline is its "
-                       "measured windows)");
     }
     // Configure the process-wide trace cache here so every bench gets
     // the behaviour without per-harness plumbing.

@@ -114,12 +114,14 @@ parseWorkerList(const char *argv0, const std::string &list)
         if (item.empty())
             continue;
         const std::size_t colon = item.rfind(':');
-        const unsigned long port =
-            colon == std::string::npos
+        // The port follows parseCount's strict contract (digits
+        // only, exit 2 otherwise) and must be 1..65535.
+        const std::uint64_t port =
+            colon == std::string::npos || colon == 0
                 ? 0
-                : std::strtoul(item.c_str() + colon + 1, nullptr, 10);
-        if (colon == std::string::npos || colon == 0 || port == 0 ||
-            port > 65535) {
+                : bench::parseCount(argv0, "--workers port",
+                                    item.c_str() + colon + 1, 65535);
+        if (port == 0) {
             std::fprintf(stderr,
                          "%s: --workers expects host:port entries "
                          "('%s')\n",

@@ -108,11 +108,8 @@ hammerDaemon(const SweepSpec &spec, unsigned clients,
     // sweep's cells and keep serving everyone else.
     {
         const int fd = service::connectTcp("127.0.0.1", svc.port());
-        std::ostringstream req;
-        req << "POST /sweep HTTP/1.1\r\ncontent-length: "
-            << body.size() << "\r\n\r\n"
-            << body;
-        service::writeAll(fd, req.str());
+        service::writeHttpRequest(fd, "127.0.0.1", "POST", "/sweep",
+                                  body);
         ::close(fd);
     }
 

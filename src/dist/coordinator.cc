@@ -434,13 +434,10 @@ SweepCoordinator::runChunk(Fleet &fleet, std::size_t w,
         if (inj.armed())
             sleepMs(inj.netSendDelayMs(w));
     }
-    const std::string body = writeShardRequest(*fleet.spec, chunk);
-    std::string head = "POST /shard HTTP/1.1\r\nHost: " + ep.host +
-                       "\r\nContent-Type: application/json"
-                       "\r\nContent-Length: " +
-                       std::to_string(body.size()) +
-                       "\r\nConnection: close\r\n\r\n";
-    if (!service::writeAll(fd, head) || !service::writeAll(fd, body)) {
+    if (!service::writeHttpRequest(
+            fd, ep.host, "POST", "/shard",
+            writeShardRequest(*fleet.spec, chunk),
+            {{"Content-Type", "application/json"}})) {
         ::close(fd);
         return false;
     }

@@ -1,16 +1,12 @@
 #include "dist/wire.hh"
 
-#include <cerrno>
-#include <cstring>
 #include <sstream>
-
-#include <sys/socket.h>
+#include <utility>
 
 #include "common/error.hh"
 #include "common/export.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
-#include "service/http.hh"
 
 namespace elfsim {
 namespace dist {
@@ -114,6 +110,16 @@ doneLine(std::uint64_t cells)
     return os.str();
 }
 
+ShardStream::ShardStream(int fd, std::string initial,
+                         std::size_t worker)
+    : fd(fd), worker(worker),
+      body(std::move(initial), [this](std::string &raw,
+                                      std::string &why) {
+          return rawRead(raw, why);
+      })
+{
+}
+
 bool
 ShardStream::fail(const char *why)
 {
@@ -123,47 +129,35 @@ ShardStream::fail(const char *why)
 }
 
 bool
-ShardStream::fill()
+ShardStream::rawRead(std::string &raw, std::string &why)
 {
-    if (cutPending)
-        return fail("connection closed mid-stream (injected cut)");
-    // Compact the consumed prefix before growing the buffer.
-    if (rawPos > 0) {
-        raw.erase(0, rawPos);
-        rawPos = 0;
+    if (cutPending) {
+        why = "connection closed mid-stream (injected cut)";
+        return false;
     }
-    char tmp[4096];
-    for (;;) {
-        const ssize_t r = ::recv(fd, tmp, sizeof tmp, 0);
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r == 0)
-            return fail("connection closed mid-stream");
-        if (r < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return fail("receive timeout (lease expired)");
-            return fail(std::strerror(errno));
-        }
-        std::size_t allow = std::size_t(r);
-        if (worker != kNoWorker) {
-            FaultInjector &inj = FaultInjector::instance();
-            if (inj.armed())
-                allow = inj.netTruncAllow(worker, rawSeen,
-                                          std::size_t(r));
-        }
-        if (allow < std::size_t(r)) {
-            // 'nettrunc' fired inside this read: deliver the prefix
-            // up to the cut point, then fail the next refill as a
-            // torn connection so a partial line can never parse.
-            cutPending = true;
-            if (allow == 0)
-                return fail(
-                    "connection closed mid-stream (injected cut)");
-        }
-        raw.append(tmp, allow);
-        rawSeen += allow;
-        return true;
+    const std::size_t before = raw.size();
+    if (!service::recvInto(fd, raw, why))
+        return false;
+    const std::size_t got = raw.size() - before;
+    std::size_t allow = got;
+    if (worker != kNoWorker) {
+        FaultInjector &inj = FaultInjector::instance();
+        if (inj.armed())
+            allow = inj.netTruncAllow(worker, rawSeen, got);
     }
+    if (allow < got) {
+        // 'nettrunc' fired inside this read: deliver the prefix up to
+        // the cut point, then fail the next read as a torn connection
+        // so a partial line can never parse.
+        cutPending = true;
+        raw.resize(before + allow);
+        if (allow == 0) {
+            why = "connection closed mid-stream (injected cut)";
+            return false;
+        }
+    }
+    rawSeen += allow;
+    return true;
 }
 
 bool
@@ -171,13 +165,9 @@ ShardStream::nextLine(std::string &line)
 {
     for (;;) {
         // Resume the newline search where the last one stopped: a
-        // long line arrives over many refills.
+        // long line arrives over many reads.
         const std::size_t nl = out.find('\n', outScanned);
-        if (nl == std::string::npos) {
-            outScanned = out.size();
-            if (out.size() > service::kMaxBodyBytes)
-                return fail("shard line exceeds the body cap");
-        } else {
+        if (nl != std::string::npos) {
             // A complete line is a "droppable event" for the netdrop
             // / nethb sites: the Nth delivered line is torn away with
             // the rest of the stream, exercising the same recovery as
@@ -202,57 +192,11 @@ ShardStream::nextLine(std::string &line)
             outScanned = 0;
             return true;
         }
-        if (final_ || bad)
+        outScanned = out.size();
+        if (out.size() > service::kMaxBodyBytes)
+            return fail("shard line exceeds the body cap");
+        if (bad || !body.read(out))
             return false;
-
-        // De-chunk whatever is buffered; fill when it runs dry.
-        if (skipCrlf > 0) {
-            // The chunk's trailing CRLF, possibly split across reads.
-            if (rawPos == raw.size()) {
-                if (!fill())
-                    return false;
-                continue;
-            }
-            if (raw[rawPos] != "\r\n"[2 - skipCrlf])
-                return fail("chunk not followed by CRLF");
-            ++rawPos;
-            --skipCrlf;
-            continue;
-        }
-        if (chunkLeft > 0) {
-            const std::size_t avail = raw.size() - rawPos;
-            if (avail == 0) {
-                if (!fill())
-                    return false;
-                continue;
-            }
-            const std::size_t n = std::min(chunkLeft, avail);
-            out.append(raw, rawPos, n);
-            rawPos += n;
-            chunkLeft -= n;
-            if (chunkLeft == 0)
-                skipCrlf = 2;
-            continue;
-        }
-        // At a chunk-size line ("<hex>\r\n").
-        const std::size_t eol = raw.find("\r\n", rawPos);
-        if (eol == std::string::npos) {
-            if (raw.size() - rawPos > service::kMaxChunkSizeLine)
-                return fail("malformed chunk-size line");
-            if (!fill())
-                return false;
-            continue;
-        }
-        std::size_t n = 0;
-        if (!service::parseChunkSize(
-                std::string_view(raw).substr(rawPos, eol - rawPos), n))
-            return fail("malformed chunk size");
-        rawPos = eol + 2;
-        if (n == 0) {
-            final_ = true; // terminator; trailers are ignored
-            continue;
-        }
-        chunkLeft = n;
     }
 }
 

@@ -58,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "service/http.hh"
 #include "sim/export.hh"
 #include "sim/sweep_spec.hh"
 
@@ -103,15 +104,18 @@ std::string heartbeatLine();
 std::string doneLine(std::uint64_t cells);
 
 /**
- * Incremental line reader over a chunked HTTP response body: feeds
- * on the socket as needed, de-chunks, and hands back one JSONL line
- * at a time — the coordinator's receive path, where waiting for the
- * whole body would defeat both streaming merge and lease timeouts.
+ * Incremental JSONL line reader over a shard's chunked response body
+ * — the coordinator's receive path, where waiting for the whole body
+ * would defeat both streaming merge and lease timeouts. The framing
+ * is decoded by service::ChunkedReader; ShardStream only splits
+ * lines, caps a pending line at service::kMaxBodyBytes, and hosts the
+ * deterministic network fault sites.
  *
  * nextLine() returns false at the end of the stream; failed()
  * distinguishes the orderly terminal chunk from a torn connection
- * (worker death) or a receive timeout (lease expiry) — both surface
- * as failed() == true with error() filled.
+ * (worker death), a receive timeout (lease expiry) or bad framing —
+ * each surfaces as failed() == true with error() filled. Lines of a
+ * chunk are delivered before a bad CRLF after it fails the stream.
  */
 class ShardStream
 {
@@ -121,36 +125,37 @@ class ShardStream
 
     /** @a fd stays owned by the caller; @a initial holds body bytes
      *  already read past the response head. @a worker identifies the
-     *  peer for the deterministic network fault sites (netdrop /
-     *  nethb / nettrunc); kNoWorker disables injection. */
+     *  peer for the deterministic network fault sites: 'nettrunc'
+     *  counts raw socket bytes after @a initial, framing included;
+     *  'netdrop' / 'nethb' count delivered lines. kNoWorker disables
+     *  injection. */
     ShardStream(int fd, std::string initial,
-                std::size_t worker = kNoWorker)
-        : fd(fd), raw(std::move(initial)), worker(worker)
-    {
-    }
+                std::size_t worker = kNoWorker);
+
+    ShardStream(const ShardStream &) = delete;
+    ShardStream &operator=(const ShardStream &) = delete;
 
     bool nextLine(std::string &line);
 
-    bool failed() const { return bad; }
-    const std::string &error() const { return err; }
+    bool failed() const { return bad || body.failed(); }
+    const std::string &error() const
+    {
+        return bad ? err : body.error();
+    }
 
   private:
-    bool fill();
+    bool rawRead(std::string &raw, std::string &why);
     bool fail(const char *why);
 
     int fd;
-    std::string raw;          ///< undecoded socket bytes
-    std::size_t rawPos = 0;
-    std::string out;          ///< de-chunked bytes pending '\n'
+    std::size_t worker;         ///< peer index for fault injection
+    std::uint64_t rawSeen = 0;  ///< raw bytes delivered ('nettrunc')
+    bool cutPending = false;    ///< injected truncation fired
+    service::ChunkedReader body;
+    std::string out;            ///< decoded bytes pending '\n'
     std::size_t outScanned = 0; ///< prefix of out known '\n'-free
-    std::size_t chunkLeft = 0;
-    unsigned skipCrlf = 0;    ///< chunk-trailer CRLF bytes still due
-    bool final_ = false;      ///< terminal zero-chunk seen
-    bool bad = false;
+    bool bad = false;           ///< failed here, not in the framing
     std::string err;
-    std::size_t worker;       ///< peer index for fault injection
-    std::uint64_t rawSeen = 0; ///< raw bytes delivered ('nettrunc')
-    bool cutPending = false;  ///< injected truncation fired
 };
 
 } // namespace dist

@@ -3,8 +3,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include <sys/socket.h>
@@ -43,6 +47,60 @@ peerGone(int fd)
     const ssize_t n = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
     return n < 0 && (errno == ECONNRESET || errno == EPIPE);
 }
+
+/** Write a plain response and close the connection. */
+void
+reply(int fd, int status, std::string_view contentType,
+      std::string_view body)
+{
+    const char *reason = status == 200   ? "OK"
+                         : status == 400 ? "Bad Request"
+                         : status == 403 ? "Forbidden"
+                         : status == 404 ? "Not Found"
+                                         : "Service Unavailable";
+    writeHttpResponse(fd, status, reason, contentType, body);
+    ::close(fd);
+}
+
+/**
+ * Calls @a tick every @a periodMs on its own thread until destroyed —
+ * a /shard stream's heartbeat, which keeps the coordinator's lease
+ * timer (its SO_RCVTIMEO) from firing between slow cells: silence then
+ * really does mean a dead worker.
+ */
+class Ticker
+{
+  public:
+    Ticker(unsigned periodMs, std::function<void()> tick)
+        : thread([this, periodMs, tick = std::move(tick)] {
+              std::unique_lock<std::mutex> lk(mtx);
+              while (!cv.wait_for(lk,
+                                  std::chrono::milliseconds(periodMs),
+                                  [this] { return stopped; }))
+                  tick();
+          })
+    {
+    }
+
+    Ticker(const Ticker &) = delete;
+    Ticker &operator=(const Ticker &) = delete;
+
+    ~Ticker()
+    {
+        {
+            std::lock_guard<std::mutex> lk(mtx);
+            stopped = true;
+        }
+        cv.notify_all();
+        thread.join();
+    }
+
+  private:
+    std::mutex mtx;
+    std::condition_variable cv;
+    bool stopped = false;
+    std::thread thread;
+};
 
 } // namespace
 
@@ -99,11 +157,8 @@ SweepService::stop()
         std::lock_guard<std::mutex> lk(queueMtx);
         leftovers.swap(queue);
     }
-    for (Pending &p : leftovers) {
-        writeHttpResponse(p.fd, 503, "Service Unavailable",
-                          "text/plain", "shutting down\n");
-        ::close(p.fd);
-    }
+    for (Pending &p : leftovers)
+        reply(p.fd, 503, "text/plain", "shutting down\n");
 }
 
 void
@@ -137,99 +192,67 @@ SweepService::acceptLoop()
 }
 
 void
+SweepService::reject(int fd, int status, std::string_view why)
+{
+    badRequests.fetch_add(1, std::memory_order_relaxed);
+    reply(fd, status, "text/plain", std::string(why) + "\n");
+}
+
+void
 SweepService::handleConnection(int fd)
 {
     HttpRequest req;
     std::string err;
-    if (!readHttpRequest(fd, req, err)) {
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 400, "Bad Request", "text/plain",
-                          err + "\n");
-        ::close(fd);
-        return;
-    }
+    if (!readHttpRequest(fd, req, err))
+        return reject(fd, 400, err);
     requests.fetch_add(1, std::memory_order_relaxed);
 
-    if (req.method == "GET" && req.path == "/healthz") {
-        writeHttpResponse(fd, 200, "OK", "text/plain", "ok\n");
-        ::close(fd);
-        return;
-    }
-    if (req.method == "GET" && req.path == "/stats") {
-        writeHttpResponse(fd, 200, "OK", "application/json",
-                          statsJson());
-        ::close(fd);
-        return;
-    }
-    if (req.method == "POST" &&
-        (req.path == "/sweep" || req.path == "/shard")) {
-        if (req.path == "/shard" && !cfg.worker) {
-            badRequests.fetch_add(1, std::memory_order_relaxed);
-            writeHttpResponse(fd, 403, "Forbidden", "text/plain",
-                              "not a worker (start with --worker)\n");
-            ::close(fd);
-            return;
-        }
-        Pending p;
-        try {
-            if (req.path == "/shard") {
-                dist::ShardRequest sr =
-                    dist::parseShardRequest(req.body);
-                p.spec = std::move(sr.spec);
-                p.cells = std::move(sr.cells);
-                p.shard = true;
-                if (p.cells.empty())
-                    throw ConfigError("shard request selects no cells");
-            } else {
-                p.spec = parseSweepSpec(std::string_view(req.body));
-            }
-            validateSweepSpec(p.spec);
-        } catch (const SimError &e) {
-            badRequests.fetch_add(1, std::memory_order_relaxed);
-            writeHttpResponse(fd, 400, "Bad Request", "text/plain",
-                              std::string(e.what()) + "\n");
-            ::close(fd);
-            return;
-        }
-        // The request's own policy applies, minus journaling:
-        // manifests and resume are CLI-side concerns, and a remote
-        // spec must not be able to scribble files onto the server (for
-        // /shard the stream itself is the coordinator's journal).
-        p.spec.policy.manifestPath.clear();
-        p.spec.policy.resume = false;
-        p.fd = fd;
-        p.cancel = std::make_shared<std::atomic<bool>>(false);
-        p.spec.policy.cancelFlag = p.cancel;
-        {
-            std::lock_guard<std::mutex> lk(queueMtx);
-            if (stopping.load(std::memory_order_acquire)) {
-                writeHttpResponse(fd, 503, "Service Unavailable",
-                                  "text/plain", "shutting down\n");
-                ::close(fd);
-                return;
-            }
-            queue.push_back(std::move(p)); // fd ownership moves too
-        }
-        queueCv.notify_one();
-        return;
-    }
-    if (req.method == "POST" &&
-        (req.path == "/artifact/trace" || req.path == "/artifact/ckpt")) {
-        if (!cfg.worker) {
-            badRequests.fetch_add(1, std::memory_order_relaxed);
-            writeHttpResponse(fd, 403, "Forbidden", "text/plain",
-                              "not a worker (start with --worker)\n");
-            ::close(fd);
-            return;
-        }
-        handleArtifact(fd, req);
-        return;
-    }
+    if (req.method == "GET" && req.path == "/healthz")
+        return reply(fd, 200, "text/plain", "ok\n");
+    if (req.method == "GET" && req.path == "/stats")
+        return reply(fd, 200, "application/json", statsJson());
+    const bool run = req.path == "/sweep" || req.path == "/shard";
+    const bool artifact =
+        req.path == "/artifact/trace" || req.path == "/artifact/ckpt";
+    if (req.method != "POST" || !(run || artifact))
+        return reject(fd, 404, "unknown endpoint");
+    if (req.path != "/sweep" && !cfg.worker)
+        return reject(fd, 403, "not a worker (start with --worker)");
+    if (artifact)
+        return handleArtifact(fd, req);
 
-    badRequests.fetch_add(1, std::memory_order_relaxed);
-    writeHttpResponse(fd, 404, "Not Found", "text/plain",
-                      "unknown endpoint\n");
-    ::close(fd);
+    Pending p;
+    try {
+        if (req.path == "/shard") {
+            dist::ShardRequest sr = dist::parseShardRequest(req.body);
+            p.spec = std::move(sr.spec);
+            p.cells = std::move(sr.cells);
+            p.shard = true;
+            if (p.cells.empty())
+                throw ConfigError("shard request selects no cells");
+        } else {
+            p.spec = parseSweepSpec(std::string_view(req.body));
+        }
+        validateSweepSpec(p.spec);
+    } catch (const SimError &e) {
+        return reject(fd, 400, e.what());
+    }
+    // The request's own policy applies, minus journaling: manifests
+    // and resume are CLI-side concerns, and a remote spec must not be
+    // able to scribble files onto the server (for /shard the stream
+    // itself is the coordinator's journal).
+    p.spec.policy.manifestPath.clear();
+    p.spec.policy.resume = false;
+    p.fd = fd;
+    p.cancel = std::make_shared<std::atomic<bool>>(false);
+    p.spec.policy.cancelFlag = p.cancel;
+    {
+        std::lock_guard<std::mutex> lk(queueMtx);
+        if (stopping.load(std::memory_order_acquire))
+            return reply(fd, 503, "text/plain", "shutting down\n");
+        queue.push_back(std::move(p)); // fd ownership moves too
+    }
+    queueCv.notify_one();
 }
 
 void
@@ -239,19 +262,13 @@ SweepService::handleArtifact(int fd, const HttpRequest &req)
     // validate bytes and touch caches, never simulate, so they must
     // not queue behind a long sweep — the coordinator ships artifacts
     // *before* dispatching shards and wants the acknowledgment now.
-    const auto reject = [&](const std::string &why) {
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 400, "Bad Request", "text/plain",
-                          why + "\n");
-        ::close(fd);
-    };
-
     if (req.path == "/artifact/trace") {
         const auto keyIt = req.headers.find("x-elfsim-key");
         std::uint64_t key = 0;
         if (keyIt == req.headers.end() ||
             !parseHexKey(keyIt->second, key))
-            return reject("missing or malformed x-elfsim-key header");
+            return reject(fd, 400,
+                          "missing or malformed x-elfsim-key header");
         const auto nameIt = req.headers.find("x-elfsim-name");
         const std::string what = errorf(
             "shipped trace artifact '%s'",
@@ -266,33 +283,30 @@ SweepService::handleArtifact(int fd, const HttpRequest &req)
             // recompile), a corrupt *upload* is the coordinator's
             // problem: installing nothing silently would turn the
             // one-compile-per-fleet guarantee into a quiet recompile.
-            return reject(e.what());
+            return reject(fd, 400, e.what());
         }
-        artifacts.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(fd, 200, "OK", "text/plain", "installed\n");
-        ::close(fd);
-        return;
+    } else {
+        // /artifact/ckpt: the body is dropped into the checkpoint
+        // directory verbatim; CheckpointStore's own load path
+        // validates magic/key/checksum on use (any defect demotes to
+        // fast-forward).
+        const std::string dir = CheckpointStore::instance().directory();
+        if (dir.empty())
+            return reject(fd, 400,
+                          "no checkpoint directory configured "
+                          "(start the worker with --ckpt-cache)");
+        const auto nameIt = req.headers.find("x-elfsim-name");
+        if (nameIt == req.headers.end())
+            return reject(fd, 400, "missing x-elfsim-name header");
+        const std::string name = sanitizedName(nameIt->second);
+        if (name.empty())
+            return reject(fd, 400, "empty artifact name");
+        std::string err;
+        if (!writeFileAtomic(dir + "/" + name, {req.body}, err))
+            return reject(fd, 400, err);
     }
-
-    // /artifact/ckpt: the body is dropped into the checkpoint
-    // directory verbatim; CheckpointStore's own load path validates
-    // magic/key/checksum on use (any defect demotes to fast-forward).
-    const std::string dir = CheckpointStore::instance().directory();
-    if (dir.empty())
-        return reject("no checkpoint directory configured "
-                      "(start the worker with --ckpt-cache)");
-    const auto nameIt = req.headers.find("x-elfsim-name");
-    if (nameIt == req.headers.end())
-        return reject("missing x-elfsim-name header");
-    const std::string name = sanitizedName(nameIt->second);
-    if (name.empty())
-        return reject("empty artifact name");
-    std::string err;
-    if (!writeFileAtomic(dir + "/" + name, {req.body}, err))
-        return reject(err);
     artifacts.fetch_add(1, std::memory_order_relaxed);
-    writeHttpResponse(fd, 200, "OK", "text/plain", "installed\n");
-    ::close(fd);
+    reply(fd, 200, "text/plain", "installed\n");
 }
 
 void
@@ -312,10 +326,7 @@ SweepService::executorLoop()
             queue.pop_front();
             currentCancel = p.cancel;
         }
-        if (p.shard)
-            executeShard(std::move(p));
-        else
-            executeSweep(std::move(p));
+        execute(std::move(p));
         {
             std::lock_guard<std::mutex> lk(queueMtx);
             currentCancel.reset();
@@ -325,52 +336,95 @@ SweepService::executorLoop()
     }
 }
 
-void
-SweepService::executeSweep(Pending req)
+const ExpandedSweep &
+SweepService::expandSpec(const SweepSpec &spec)
 {
-    // The client may have hung up while queued; don't burn a sweep on
-    // a stream nobody reads.
+    std::ostringstream os;
+    writeSweepSpec(os, spec);
+    std::string text = os.str();
+    if (text != cachedSpecText_) {
+        cachedEx_ = expandSweep(spec);
+        cachedSpecText_ = std::move(text);
+    }
+    return cachedEx_;
+}
+
+void
+SweepService::execute(Pending req)
+{
+    // The client may have hung up while queued; don't burn a run on a
+    // stream nobody reads.
     if (peerGone(req.fd)) {
         ::close(req.fd);
         return;
     }
 
-    ExpandedSweep ex;
+    const ExpandedSweep *ex = nullptr;
     try {
-        ex = expandSweep(req.spec);
+        ex = &expandSpec(req.spec);
+        std::vector<char> seen(ex->jobs.size(), 0);
+        for (std::size_t i : req.cells) {
+            if (i >= ex->jobs.size())
+                throw ConfigError(errorf(
+                    "shard cell %zu out of range (grid has %zu)", i,
+                    ex->jobs.size()));
+            if (seen[i])
+                throw ConfigError(
+                    errorf("shard cell %zu selected twice", i));
+            seen[i] = 1;
+        }
     } catch (const SimError &e) {
-        // validateSweepSpec passed at enqueue time, so this is rare
-        // (e.g. a workload generator failure) — still pre-stream, so
-        // a clean error response is possible.
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(req.fd, 400, "Bad Request", "text/plain",
-                          std::string(e.what()) + "\n");
-        ::close(req.fd);
-        return;
+        // validateSweepSpec passed at enqueue time, so for /sweep this
+        // is rare (e.g. a workload generator failure) — still
+        // pre-stream, so a clean error response is possible.
+        return reject(req.fd, 400, e.what());
+    }
+    if (!req.shard) {
+        // /sweep is the all-cells case of the subset run.
+        req.cells.resize(ex->jobs.size());
+        std::iota(req.cells.begin(), req.cells.end(), std::size_t(0));
     }
 
     runner.setPolicy(req.spec.policy);
     runner.setBaseSeed(req.spec.baseSeed);
 
     ChunkedResponse stream(req.fd);
-    stream.header(200, "OK", "application/json");
+    stream.header(200, "OK",
+                  req.shard ? "application/x-ndjson"
+                            : "application/json");
+    std::mutex streamMtx; // guards buf and the stream
+    std::ostringstream buf; // bytes of the next chunk
+    const auto flush = [&] {
+        const std::string out = buf.str();
+        buf.str(std::string());
+        if (!out.empty() && !stream.write(out))
+            req.cancel->store(true, std::memory_order_release);
+    };
 
-    // Completed cells arrive in completion order; buffer them and
-    // release the in-order prefix, so the accumulated stream is byte-
-    // identical to writeResultsJson() over the merged results.
-    std::ostringstream buf;
-    ResultsStreamWriter writer(buf);
-    std::mutex streamMtx;
+    // The cell sink, fed in completion order:
+    //  /sweep  holds cells back and releases the in-order prefix, so
+    //          the accumulated stream is byte-identical to
+    //          writeResultsJson() over the merged results;
+    //  /shard  writes one self-describing manifest line (global index
+    //          + key) per cell at once: the coordinator does the
+    //          merge, and journals a cell the moment any worker
+    //          finishes it.
+    std::optional<ResultsStreamWriter> writer; // /sweep only
+    if (!req.shard)
+        writer.emplace(buf);
     std::map<std::size_t, RunResult> held;
     std::size_t next = 0;
-
-    const auto flushChunk = [&] {
-        std::string out = buf.str();
-        if (out.empty())
+    const auto sinkCell = [&](std::size_t i, const RunResult &r) {
+        if (req.shard) {
+            writeManifestLine(
+                buf, ManifestEntry{i, runner.jobKey(ex->jobs[i], i), r});
             return;
-        buf.str(std::string());
-        if (!stream.write(out))
-            req.cancel->store(true, std::memory_order_release);
+        }
+        held.emplace(i, r);
+        for (; !held.empty() && held.begin()->first == next; ++next) {
+            writer->add(held.begin()->second);
+            held.erase(held.begin());
+        }
     };
 
     // The observer captures this frame's locals; it must be detached
@@ -386,28 +440,31 @@ SweepService::executeSweep(Pending req)
         }
     } observerGuard{*this};
 
-    inflightCells.store(ex.jobs.size(), std::memory_order_release);
+    inflightCells.store(req.cells.size(), std::memory_order_release);
     runner.setCellObserver([&](std::size_t i, const RunResult &r) {
         std::lock_guard<std::mutex> lk(streamMtx);
         inflightCells.fetch_sub(1, std::memory_order_acq_rel);
-        held.emplace(i, r);
-        while (!held.empty() && held.begin()->first == next) {
-            writer.add(held.begin()->second);
-            held.erase(held.begin());
-            ++next;
-        }
-        flushChunk();
+        sinkCell(i, r);
+        flush();
     });
 
     try {
-        runner.run(ex.jobs);
+        std::optional<Ticker> heartbeat;
+        if (req.shard)
+            heartbeat.emplace(cfg.heartbeatMs, [&] {
+                std::lock_guard<std::mutex> lk(streamMtx);
+                buf << dist::heartbeatLine();
+                flush();
+            });
+        runner.run(ex->jobs, req.cells);
     } catch (const std::exception &e) {
-        // Keep-going mode degrades per-cell failures, but pre-run
+        // Per-cell failures degrade in the runner, but pre-run
         // machinery (trace compilation, pool setup) can still throw.
         // The stream is already open, so no clean error response is
         // possible — truncate it (the client sees a framing error)
         // and keep the daemon alive for the next request.
-        ELFSIM_WARN("sweep aborted before completion: %s", e.what());
+        ELFSIM_WARN("%s aborted before completion: %s",
+                    req.shard ? "shard" : "sweep", e.what());
         cellsFailed.fetch_add(1, std::memory_order_relaxed);
         ::close(req.fd);
         return;
@@ -415,162 +472,25 @@ SweepService::executeSweep(Pending req)
 
     {
         std::lock_guard<std::mutex> lk(streamMtx);
-        writer.finish();
-        flushChunk();
-    }
-    stream.finish();
-    ::close(req.fd);
-
-    for (const RunResult &r : runner.results()) {
-        if (r.ok())
-            cellsOk.fetch_add(1, std::memory_order_relaxed);
-        else if (r.status == JobStatus::Cancelled)
-            cellsCancelled.fetch_add(1, std::memory_order_relaxed);
+        if (req.shard)
+            buf << dist::doneLine(req.cells.size());
         else
-            cellsFailed.fetch_add(1, std::memory_order_relaxed);
-    }
-    sweeps.fetch_add(1, std::memory_order_relaxed);
-    const SweepTiming &t = runner.timing();
-    lastCellsPerSec.store(
-        t.wallSeconds > 0 ? double(t.jobs) / t.wallSeconds : 0,
-        std::memory_order_relaxed);
-}
-
-const ExpandedSweep &
-SweepService::expandShardSpec(const SweepSpec &spec)
-{
-    std::ostringstream os;
-    writeSweepSpec(os, spec);
-    std::string text = os.str();
-    if (text != cachedSpecText_) {
-        cachedEx_ = expandSweep(spec);
-        cachedSpecText_ = std::move(text);
-    }
-    return cachedEx_;
-}
-
-void
-SweepService::executeShard(Pending req)
-{
-    if (peerGone(req.fd)) {
-        ::close(req.fd);
-        return;
-    }
-
-    const ExpandedSweep *ex = nullptr;
-    try {
-        ex = &expandShardSpec(req.spec);
-        std::vector<char> seen(ex->jobs.size(), 0);
-        for (std::size_t i : req.cells) {
-            if (i >= ex->jobs.size())
-                throw ConfigError(errorf(
-                    "shard cell %zu out of range (grid has %zu)", i,
-                    ex->jobs.size()));
-            if (seen[i])
-                throw ConfigError(
-                    errorf("shard cell %zu selected twice", i));
-            seen[i] = 1;
-        }
-    } catch (const SimError &e) {
-        badRequests.fetch_add(1, std::memory_order_relaxed);
-        writeHttpResponse(req.fd, 400, "Bad Request", "text/plain",
-                          std::string(e.what()) + "\n");
-        ::close(req.fd);
-        return;
-    }
-
-    runner.setPolicy(req.spec.policy);
-    runner.setBaseSeed(req.spec.baseSeed);
-
-    ChunkedResponse stream(req.fd);
-    std::mutex streamMtx;
-    stream.header(200, "OK", "application/x-ndjson");
-
-    // Unlike /sweep there is no in-order buffering: every line is
-    // self-describing (global index + key), the coordinator does the
-    // merge. Streaming in completion order is what lets it journal a
-    // cell the moment any worker finishes it.
-    const auto writeLine = [&](const std::string &line) {
-        if (!stream.write(line))
-            req.cancel->store(true, std::memory_order_release);
-    };
-
-    struct ObserverGuard
-    {
-        SweepService &svc;
-        ~ObserverGuard()
-        {
-            svc.runner.setCellObserver(nullptr);
-            svc.inflightCells.store(0, std::memory_order_release);
-        }
-    } observerGuard{*this};
-
-    inflightCells.store(req.cells.size(), std::memory_order_release);
-    runner.setCellObserver([&](std::size_t i, const RunResult &r) {
-        std::ostringstream line;
-        writeManifestLine(line,
-                          ManifestEntry{
-                              i, runner.jobKey(ex->jobs[i], i), r});
-        std::lock_guard<std::mutex> lk(streamMtx);
-        inflightCells.fetch_sub(1, std::memory_order_acq_rel);
-        writeLine(line.str());
-    });
-
-    // Heartbeats keep the coordinator's lease timer (its SO_RCVTIMEO)
-    // from firing between slow cells: silence now really does mean a
-    // dead worker.
-    std::mutex hbMtx;
-    std::condition_variable hbCv;
-    bool hbStop = false;
-    std::thread heartbeat([&] {
-        std::unique_lock<std::mutex> lk(hbMtx);
-        for (;;) {
-            if (hbCv.wait_for(
-                    lk, std::chrono::milliseconds(cfg.heartbeatMs),
-                    [&] { return hbStop; }))
-                return;
-            std::lock_guard<std::mutex> s(streamMtx);
-            writeLine(dist::heartbeatLine());
-        }
-    });
-    const auto stopHeartbeat = [&] {
-        {
-            std::lock_guard<std::mutex> lk(hbMtx);
-            hbStop = true;
-        }
-        hbCv.notify_all();
-        heartbeat.join();
-    };
-
-    try {
-        runner.run(ex->jobs, req.cells);
-    } catch (const std::exception &e) {
-        stopHeartbeat();
-        ELFSIM_WARN("shard aborted before completion: %s", e.what());
-        cellsFailed.fetch_add(1, std::memory_order_relaxed);
-        ::close(req.fd);
-        return;
-    }
-    stopHeartbeat();
-
-    {
-        std::lock_guard<std::mutex> lk(streamMtx);
-        writeLine(dist::doneLine(req.cells.size()));
+            writer->finish();
+        flush();
     }
     stream.finish();
     ::close(req.fd);
 
     const std::vector<RunResult> &rs = runner.results();
     for (std::size_t i : req.cells) {
-        const RunResult &r = rs[i];
-        if (r.ok())
+        if (rs[i].ok())
             cellsOk.fetch_add(1, std::memory_order_relaxed);
-        else if (r.status == JobStatus::Cancelled)
+        else if (rs[i].status == JobStatus::Cancelled)
             cellsCancelled.fetch_add(1, std::memory_order_relaxed);
         else
             cellsFailed.fetch_add(1, std::memory_order_relaxed);
     }
-    shards.fetch_add(1, std::memory_order_relaxed);
+    (req.shard ? shards : sweeps).fetch_add(1, std::memory_order_relaxed);
     const SweepTiming &t = runner.timing();
     lastCellsPerSec.store(
         t.wallSeconds > 0 ? double(t.jobs) / t.wallSeconds : 0,

@@ -151,21 +151,25 @@ class SweepService
         SweepSpec spec;
         std::shared_ptr<std::atomic<bool>> cancel;
         bool shard = false;             ///< POST /shard (worker mode)
-        std::vector<std::size_t> cells; ///< shard only: global indices
+        std::vector<std::size_t> cells; ///< global indices to run
+                                        ///< (/sweep: all, at execute)
     };
 
     void acceptLoop();
     void handleConnection(int fd);
     void handleArtifact(int fd, const HttpRequest &req);
+    /** Count a bad request, answer @a status with @a why, close. */
+    void reject(int fd, int status, std::string_view why);
     void executorLoop();
-    void executeSweep(Pending req);
-    void executeShard(Pending req);
+    /** Run one queued /sweep or /shard request; the two differ only
+     *  in the cell sink that turns completed cells into stream bytes. */
+    void execute(Pending req);
 
-    /** Expand a shard's spec, memoizing on the canonical spec text:
+    /** Expand a request's spec, memoizing on the canonical spec text:
      *  every chunk of one fleet-wide sweep re-sends the same spec, and
      *  expansion (program generation) dominates small shards.
      *  Executor-thread only. */
-    const ExpandedSweep &expandShardSpec(const SweepSpec &spec);
+    const ExpandedSweep &expandSpec(const SweepSpec &spec);
 
     ServiceConfig cfg;
     /** Atomic: stop() retires the fd while acceptLoop still reads
@@ -188,7 +192,7 @@ class SweepService
 
     SweepRunner runner; ///< shared across every request (executor only)
 
-    // Shard spec-expansion memo (executor thread only).
+    // Spec-expansion memo (executor thread only).
     std::string cachedSpecText_;
     ExpandedSweep cachedEx_;
 

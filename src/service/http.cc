@@ -66,31 +66,6 @@ readSome(int fd, char *buf, std::size_t n)
     }
 }
 
-/** Split "HTTP/1.1 200 OK" / header block parsing shared by the
- *  request and response readers: read until CRLFCRLF. Returns false
- *  on close/overflow; @a head gets the header block, @a rest any
- *  body bytes already read. */
-bool
-readHead(int fd, std::string &head, std::string &rest)
-{
-    std::string buf;
-    char tmp[4096];
-    for (;;) {
-        const std::size_t at = buf.find("\r\n\r\n");
-        if (at != std::string::npos) {
-            head = buf.substr(0, at);
-            rest = buf.substr(at + 4);
-            return true;
-        }
-        if (buf.size() > kMaxHeaderBytes)
-            return false;
-        const ssize_t r = readSome(fd, tmp, sizeof tmp);
-        if (r <= 0)
-            return false;
-        buf.append(tmp, std::size_t(r));
-    }
-}
-
 /** Parse "Key: value" lines into a lower-cased header map. */
 bool
 parseHeaderLines(const std::string &head, std::size_t firstLineEnd,
@@ -114,6 +89,50 @@ parseHeaderLines(const std::string &head, std::size_t firstLineEnd,
     return true;
 }
 
+/** The head shared by the request and response readers: read until
+ *  CRLFCRLF, hand back the first (request or status) line in
+ *  @a first and the parsed headers; @a rest gets any body bytes
+ *  already read. False with @a err filled on a close, an oversized
+ *  head or a malformed header line. */
+bool
+readHead(int fd, std::string &first,
+         std::map<std::string, std::string> &headers, std::string &rest,
+         std::string &err)
+{
+    std::string buf;
+    std::size_t at;
+    while ((at = buf.find("\r\n\r\n")) == std::string::npos) {
+        if (buf.size() > kMaxHeaderBytes || !recvInto(fd, buf, err)) {
+            err = "connection closed or header block too large";
+            return false;
+        }
+    }
+    rest = buf.substr(at + 4);
+    buf.resize(at);
+    const std::size_t eol = std::min(buf.find("\r\n"), buf.size());
+    first = buf.substr(0, eol);
+    if (!parseHeaderLines(buf, eol + 2, headers)) {
+        err = "malformed header line";
+        return false;
+    }
+    return true;
+}
+
+/** A response head: status line, Content-Type, the body's
+ *  @a framing header and Connection: close. */
+std::string
+responseHead(int status, std::string_view reason,
+             std::string_view contentType, std::string_view framing)
+{
+    std::string head;
+    head.append("HTTP/1.1 ").append(std::to_string(status));
+    head.append(" ").append(reason);
+    head.append("\r\nContent-Type: ").append(contentType);
+    head.append("\r\n").append(framing);
+    head.append("\r\nConnection: close\r\n\r\n");
+    return head;
+}
+
 /** Parse a Content-Length value: decimal digits only, at most the
  *  body cap. */
 bool
@@ -124,69 +143,26 @@ parseContentLength(const std::string &v, std::size_t &n)
     return ec == std::errc() && p == end && n <= kMaxBodyBytes;
 }
 
-/** Read exactly @a n more bytes into @a body (which may already hold
- *  a prefix from the header read). */
+/** Read until @a body (which may already hold a prefix from the
+ *  header read) has @a n bytes; @a n is at most the body cap. */
 bool
 readBody(int fd, std::string &body, std::size_t n)
 {
-    if (n > kMaxBodyBytes)
-        return false;
-    char tmp[4096];
-    while (body.size() < n) {
-        const std::size_t want =
-            std::min(sizeof tmp, n - body.size());
-        const ssize_t r = readSome(fd, tmp, want);
-        if (r <= 0)
+    std::string err;
+    while (body.size() < n)
+        if (!recvInto(fd, body, err))
             return false;
-        body.append(tmp, std::size_t(r));
-    }
     body.resize(n);
     return true;
 }
 
-/** De-chunk a Transfer-Encoding: chunked body, reading more bytes
- *  from @a fd as needed; @a raw holds what was already buffered. */
-bool
-readChunked(int fd, std::string raw, std::string &out)
-{
-    char tmp[4096];
-    std::size_t pos = 0;
-    for (;;) {
-        // Ensure one full "size CRLF" line is buffered.
-        std::size_t eol;
-        while ((eol = raw.find("\r\n", pos)) == std::string::npos) {
-            if (raw.size() - pos > kMaxChunkSizeLine)
-                return false;
-            const ssize_t r = readSome(fd, tmp, sizeof tmp);
-            if (r <= 0)
-                return false;
-            raw.append(tmp, std::size_t(r));
-        }
-        std::size_t n = 0;
-        if (!parseChunkSize(std::string_view(raw).substr(pos, eol - pos),
-                            n))
-            return false;
-        pos = eol + 2;
-        if (n == 0)
-            return true; // ignore trailers
-        // out.size() never exceeds the cap, so this cannot wrap.
-        if (n > kMaxBodyBytes - out.size())
-            return false;
-        while (raw.size() - pos < n + 2) {
-            const ssize_t r = readSome(fd, tmp, sizeof tmp);
-            if (r <= 0)
-                return false;
-            raw.append(tmp, std::size_t(r));
-        }
-        if (raw.compare(pos + n, 2, "\r\n") != 0)
-            return false; // the chunk must end in CRLF
-        out.append(raw, pos, n);
-        pos += n + 2;
-    }
-}
+/** Longest chunk-size line ChunkedReader buffers before failing. */
+constexpr std::size_t kMaxChunkSizeLine = 64;
 
-} // namespace
-
+/** One chunk-size line (without its CRLF): hex digits only — no
+ *  sign, whitespace or chunk extension — and at most kMaxBodyBytes,
+ *  so a hostile size can neither wrap a length check nor ask for an
+ *  unbounded buffer. */
 bool
 parseChunkSize(std::string_view line, std::size_t &n)
 {
@@ -196,6 +172,8 @@ parseChunkSize(std::string_view line, std::size_t &n)
     n = std::size_t(v);
     return true;
 }
+
+} // namespace
 
 int
 listenTcp(const std::string &host, std::uint16_t port)
@@ -268,15 +246,9 @@ writeAll(int fd, std::string_view data)
 bool
 readHttpRequest(int fd, HttpRequest &out, std::string &err)
 {
-    std::string head, rest;
-    if (!readHead(fd, head, rest)) {
-        err = "connection closed or header block too large";
+    std::string reqLine, rest;
+    if (!readHead(fd, reqLine, out.headers, rest, err))
         return false;
-    }
-    std::size_t eol = head.find("\r\n");
-    if (eol == std::string::npos)
-        eol = head.size();
-    const std::string reqLine = head.substr(0, eol);
     const std::size_t sp1 = reqLine.find(' ');
     const std::size_t sp2 =
         sp1 == std::string::npos ? std::string::npos
@@ -288,10 +260,6 @@ readHttpRequest(int fd, HttpRequest &out, std::string &err)
     }
     out.method = reqLine.substr(0, sp1);
     out.path = reqLine.substr(sp1 + 1, sp2 - sp1 - 1);
-    if (!parseHeaderLines(head, eol + 2, out.headers)) {
-        err = "malformed header line";
-        return false;
-    }
     out.body = std::move(rest);
     const auto cl = out.headers.find("content-length");
     if (cl != out.headers.end()) {
@@ -312,17 +280,30 @@ readHttpRequest(int fd, HttpRequest &out, std::string &err)
 }
 
 bool
-writeHttpResponse(int fd, int status, std::string_view reason,
-                  std::string_view contentType, std::string_view body)
+writeHttpRequest(int fd, const std::string &host,
+                 const std::string &method, const std::string &path,
+                 std::string_view body,
+                 const std::map<std::string, std::string> &headers)
 {
     std::string head;
-    head.append("HTTP/1.1 ").append(std::to_string(status));
-    head.append(" ").append(reason);
-    head.append("\r\nContent-Type: ").append(contentType);
+    head.append(method).append(" ").append(path);
+    head.append(" HTTP/1.1\r\nHost: ").append(host);
+    for (const auto &[k, v] : headers)
+        head.append("\r\n").append(k).append(": ").append(v);
     head.append("\r\nContent-Length: ")
         .append(std::to_string(body.size()));
     head.append("\r\nConnection: close\r\n\r\n");
     return writeAll(fd, head) && writeAll(fd, body);
+}
+
+bool
+writeHttpResponse(int fd, int status, std::string_view reason,
+                  std::string_view contentType, std::string_view body)
+{
+    return writeAll(fd, responseHead(status, reason, contentType,
+                                     "Content-Length: " +
+                                         std::to_string(body.size()))) &&
+           writeAll(fd, body);
 }
 
 bool
@@ -331,13 +312,8 @@ ChunkedResponse::header(int status, std::string_view reason,
 {
     if (bad)
         return false;
-    std::string head;
-    head.append("HTTP/1.1 ").append(std::to_string(status));
-    head.append(" ").append(reason);
-    head.append("\r\nContent-Type: ").append(contentType);
-    head.append("\r\nTransfer-Encoding: chunked\r\n"
-                "Connection: close\r\n\r\n");
-    bad = !writeAll(fd, head);
+    bad = !writeAll(fd, responseHead(status, reason, contentType,
+                                     "Transfer-Encoding: chunked"));
     return !bad;
 }
 
@@ -366,6 +342,90 @@ ChunkedResponse::finish()
     return !bad;
 }
 
+bool
+recvInto(int fd, std::string &raw, std::string &err)
+{
+    char tmp[4096];
+    const ssize_t r = readSome(fd, tmp, sizeof tmp);
+    if (r > 0) {
+        raw.append(tmp, std::size_t(r));
+        return true;
+    }
+    if (r == 0)
+        err = "connection closed mid-stream";
+    else if (errno == EAGAIN || errno == EWOULDBLOCK)
+        err = "receive timeout";
+    else
+        err = std::strerror(errno);
+    return false;
+}
+
+bool
+ChunkedReader::fail(std::string why)
+{
+    bad = true;
+    err = std::move(why);
+    return false;
+}
+
+bool
+ChunkedReader::fill()
+{
+    // Compact the consumed prefix before growing the buffer.
+    raw.erase(0, pos);
+    pos = 0;
+    std::string why;
+    return rawRead(raw, why) || fail(std::move(why));
+}
+
+bool
+ChunkedReader::read(std::string &out)
+{
+    while (!ended && !bad) {
+        if (crlfDue) {
+            // The chunk's CRLF, possibly split across reads.
+            if (raw.size() - pos < 2) {
+                if (!fill())
+                    return false;
+                continue;
+            }
+            if (raw.compare(pos, 2, "\r\n") != 0)
+                return fail("chunk not followed by CRLF");
+            pos += 2;
+            crlfDue = false;
+        } else if (chunkLeft > 0) {
+            if (pos == raw.size()) {
+                if (!fill())
+                    return false;
+                continue;
+            }
+            const std::size_t n = std::min(chunkLeft, raw.size() - pos);
+            out.append(raw, pos, n);
+            pos += n;
+            chunkLeft -= n;
+            crlfDue = chunkLeft == 0;
+            return true;
+        } else {
+            // At a chunk-size line ("<hex>\r\n").
+            const std::size_t eol = raw.find("\r\n", pos);
+            if (eol == std::string::npos) {
+                if (raw.size() - pos > kMaxChunkSizeLine)
+                    return fail("malformed chunk-size line");
+                if (!fill())
+                    return false;
+                continue;
+            }
+            if (!parseChunkSize(
+                    std::string_view(raw).substr(pos, eol - pos),
+                    chunkLeft))
+                return fail("malformed chunk size");
+            pos = eol + 2;
+            ended = chunkLeft == 0; // trailers are ignored
+        }
+    }
+    return false;
+}
+
 HttpResponse
 readHttpResponse(int fd)
 {
@@ -376,8 +436,16 @@ readHttpResponse(int fd)
     const auto te = resp.headers.find("transfer-encoding");
     if (te != resp.headers.end() &&
         lowered(te->second) == "chunked") {
-        if (!readChunked(fd, std::move(rest), resp.body))
-            throw IoError("malformed chunked response body");
+        ChunkedReader body(std::move(rest),
+                           [fd](std::string &raw, std::string &err) {
+                               return recvInto(fd, raw, err);
+                           });
+        while (body.read(resp.body))
+            if (resp.body.size() > kMaxBodyBytes)
+                throw IoError("chunked response body exceeds the cap");
+        if (body.failed())
+            throw IoError("malformed chunked response body: " +
+                          body.error());
         return resp;
     }
     resp.body = std::move(rest);
@@ -409,22 +477,12 @@ readHttpResponseHead(int fd, int &status,
                      std::map<std::string, std::string> &headers,
                      std::string &rest, std::string &err)
 {
-    std::string head;
-    if (!readHead(fd, head, rest)) {
-        err = "connection closed before a full response head";
+    std::string statusLine;
+    if (!readHead(fd, statusLine, headers, rest, err))
         return false;
-    }
-    std::size_t eol = head.find("\r\n");
-    if (eol == std::string::npos)
-        eol = head.size();
-    const std::string statusLine = head.substr(0, eol);
     if (std::sscanf(statusLine.c_str(), "HTTP/%*d.%*d %d",
                     &status) != 1) {
         err = "malformed status line '" + statusLine + "'";
-        return false;
-    }
-    if (!parseHeaderLines(head, eol + 2, headers)) {
-        err = "malformed response header";
         return false;
     }
     return true;
@@ -437,15 +495,7 @@ httpFetch(const std::string &host, std::uint16_t port,
           const std::map<std::string, std::string> &headers)
 {
     const int fd = connectTcp(host, port);
-    std::string head;
-    head.append(method).append(" ").append(path);
-    head.append(" HTTP/1.1\r\nHost: ").append(host);
-    for (const auto &[k, v] : headers)
-        head.append("\r\n").append(k).append(": ").append(v);
-    head.append("\r\nContent-Length: ")
-        .append(std::to_string(body.size()));
-    head.append("\r\nConnection: close\r\n\r\n");
-    if (!writeAll(fd, head) || !writeAll(fd, body)) {
+    if (!writeHttpRequest(fd, host, method, path, body, headers)) {
         ::close(fd);
         throw IoError("error sending request");
     }

@@ -248,10 +248,6 @@ makeSpecConfig(const ConfigSpec &c)
     return cfg;
 }
 
-namespace {
-
-/** Mirror of bench_util's sampling-contradiction checks, phrased for
- *  spec fields and thrown instead of exiting. */
 void
 checkRunOptions(const RunOptions &o, const char *where)
 {
@@ -283,6 +279,8 @@ checkRunOptions(const RunOptions &o, const char *where)
             "exclusive (a sampled run's timeline is its measured "
             "windows)");
 }
+
+namespace {
 
 /** Resolve a selector to the programs it names (build order is the
  *  catalog/declaration order, matching the legacy bench loops). */

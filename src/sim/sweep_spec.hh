@@ -281,6 +281,15 @@ SimConfig makeSpecConfig(const ConfigSpec &c);
 void applySimKnob(SimConfig &cfg, const std::string &key,
                   const SpecValue &v);
 
+/**
+ * The sampling-schedule contradictions in @a o (a length or warmup
+ * without a period, a period without a length, a window that does
+ * not fit in the period, --interval with sampling); throws
+ * ConfigError("<where>: <what>"). validateSweepSpec runs it on every
+ * RunOptions of a spec, bench::parseOptions on the command line's.
+ */
+void checkRunOptions(const RunOptions &o, const char *where);
+
 /** Semantic validation (sampling schedule contradictions, empty
  *  groups, unknown workloads, the removed strict mode); throws
  *  ConfigError. */

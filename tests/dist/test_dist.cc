@@ -9,6 +9,9 @@
  * fleet) drive real `elfsimd --worker` subprocesses found via
  * $ELFSIM_BENCH_DIR — an in-process worker would share this process's
  * TraceCache singleton and fake the compile accounting.
+ *
+ * ShardStream's framing cases share one table with readHttpResponse
+ * in tests/service/test_chunked.cc.
  */
 
 #include <gtest/gtest.h>
@@ -216,92 +219,6 @@ TEST(DistWire, StreamLinesParseBackToTheirKinds)
                                       "\"event\":\"frobnicate\"}"),
                  SimError);
     EXPECT_THROW(dist::parseShardLine("not json at all"), SimError);
-}
-
-namespace {
-
-/** Feed @a body through a ShardStream from a socketpair peer (a
- *  writer thread, so bodies larger than the socket buffer work);
- *  returns the lines delivered before the stream ended. */
-std::vector<std::string>
-drainShardStream(const std::string &body, bool &failed)
-{
-    int sv[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    std::thread writer([fd = sv[0], &body] {
-        service::writeAll(fd, body);
-        ::shutdown(fd, SHUT_WR);
-    });
-    dist::ShardStream stream(sv[1], {});
-    std::vector<std::string> lines;
-    std::string line;
-    while (stream.nextLine(line))
-        lines.push_back(line);
-    failed = stream.failed();
-    ::shutdown(sv[1], SHUT_RDWR); // unblock a writer the reader left
-    writer.join();
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return lines;
-}
-
-} // namespace
-
-TEST(DistWire, ShardStreamDecodesStrictChunkSizes)
-{
-    bool failed = true;
-    const std::vector<std::string> lines = drainShardStream(
-        "6\r\nline1\n\r\nC\r\nline2\nline3\n\r\n0\r\n\r\n",
-        failed);
-    EXPECT_FALSE(failed);
-    EXPECT_EQ(lines,
-              (std::vector<std::string>{"line1", "line2", "line3"}));
-}
-
-TEST(DistWire, ShardStreamFailsOnMalformedChunkSizes)
-{
-    for (const char *body : {
-             "+6\r\nline1\n\r\n0\r\n\r\n",
-             " 6\r\nline1\n\r\n0\r\n\r\n",
-             "0x6\r\nline1\n\r\n0\r\n\r\n",
-             "6;ext=1\r\nline1\n\r\n0\r\n\r\n",
-             "6\r\nline1\n\r\nffffffffffffffff\r\nline2\n\r\n"
-             "0\r\n\r\n",
-             "1000001\r\nline1\n\r\n0\r\n\r\n", // 16 MiB + 1
-         }) {
-        SCOPED_TRACE(body);
-        bool failed = false;
-        drainShardStream(body, failed);
-        EXPECT_TRUE(failed);
-    }
-}
-
-TEST(DistWire, ShardStreamFailsOnAChunkNotFollowedByCrlf)
-{
-    // A chunk's data must be followed by CRLF. The chunk's own line
-    // is delivered; the stream then fails.
-    for (const char *body : {"6\r\nline1\nXY0\r\n\r\n",
-                             "6\r\nline1\n\rX0\r\n\r\n"}) {
-        SCOPED_TRACE(body);
-        bool failed = false;
-        EXPECT_EQ(drainShardStream(body, failed),
-                  (std::vector<std::string>{"line1"}));
-        EXPECT_TRUE(failed);
-    }
-}
-
-TEST(DistWire, ShardStreamCapsThePendingLine)
-{
-    // Legal chunks that never deliver a '\n': the partial line must
-    // not grow past the body cap.
-    const std::string chunk(1u << 20, 'x');
-    std::string body;
-    for (int i = 0; i < 17; ++i)
-        body += "100000\r\n" + chunk + "\r\n";
-    body += "0\r\n\r\n";
-    bool failed = false;
-    EXPECT_TRUE(drainShardStream(body, failed).empty());
-    EXPECT_TRUE(failed);
 }
 
 // -------------------------------------------------------------- ledger

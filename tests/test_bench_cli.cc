@@ -130,3 +130,47 @@ TEST(BenchCli, StrictModeSpecIsAUsageError)
     std::remove(strictPath.c_str());
     std::remove(keptPath.c_str());
 }
+
+TEST(BenchCli, CoordRejectsMalformedWorkerPorts)
+{
+    const std::string benchDir = requiredEnv("ELFSIM_BENCH_DIR");
+    ASSERT_FALSE(benchDir.empty());
+    const std::string coord = benchDir + "/elfsim_coord";
+    const std::string specPath = writeTinySpec("cli_ports.json", true);
+    // Each port was once read by an unchecked strtoul as port 1 (or
+    // wrapped): the worker was then quarantined and the whole grid ran
+    // in-process with exit 0.
+    for (const char *worker :
+         {"127.0.0.1:1x", "127.0.0.1:+1", "'127.0.0.1: 1'",
+          "127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:", ":80"}) {
+        SCOPED_TRACE(worker);
+        const std::string args = "--jobs 1 --spec " + specPath +
+                                 " --probes 1 --workers " + worker;
+        EXPECT_EQ(runTool(coord, args.c_str()), 2);
+    }
+    std::remove(specPath.c_str());
+}
+
+TEST(BenchCli, ContradictorySamplingFlagsAreUsageErrors)
+{
+    const std::string benchDir = requiredEnv("ELFSIM_BENCH_DIR");
+    ASSERT_FALSE(benchDir.empty());
+    const std::string fig9 = benchDir + "/bench_fig9_geomean";
+    for (const char *flags : {
+             "--sample-length 100",                        // no period
+             "--sample-warmup 100",                        // no period
+             "--sample-period 1000",                       // no length
+             "--sample-period 1000 --sample-length 2000",  // len > period
+             "--sample-period 1000 --sample-length 100 "
+             "--sample-warmup 1000",                       // warmup >= period
+             "--sample-period 1000 --sample-length 600 "
+             "--sample-warmup 500",                        // doesn't fit
+             "--sample-period 1000 --sample-length 100 "
+             "--interval 50",                              // both modes
+         }) {
+        SCOPED_TRACE(flags);
+        EXPECT_EQ(runTool(fig9, (std::string("--quick --jobs 1 ") + flags)
+                                    .c_str()),
+                  2);
+    }
+}
